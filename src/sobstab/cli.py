@@ -362,7 +362,6 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     else:
         grid = default_lambda_grid(amb, cfg)
     tasks = [(lam, amb.d, amb.s, cfg.rel_tol, cfg.abs_tol) for lam in grid]
-    certified = True
     try:
         points = _map_ordered(_expand_task, tasks, args.jobs)
     except (QuadratureNonConvergence, OptimizerError) as exc:
@@ -373,7 +372,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         _emit(_json_doc(doc), args.out)
         return 3
     report = assemble_report(amb, points, cfg)
-    prov = _provenance(amb, cfg, certified=certified)
+    prov = _provenance(amb, cfg)
     if args.format == "json":
         payload = {
             "provenance": prov,
@@ -441,7 +440,8 @@ def _cmd_sweep_grid(args: argparse.Namespace) -> int:
         for c2, lam, sep in combos
     ]
     results = _map_ordered(_grid_task, tasks, args.jobs)
-    bound = min(compare(amb).c_spec, compare(amb).c_two_peak)
+    thresholds = compare(amb)
+    bound = min(thresholds.c_spec, thresholds.c_two_peak)
     rows: list[list[Any]] = []
     failures = 0
     for (c2, lam, sep), (status, payload) in zip(combos, results):

@@ -50,8 +50,6 @@ __all__ = [
 # the quadrature relative tolerance: past that, the subtraction is noise.
 NOISE_FLOOR_FACTOR = 1e3
 
-_DERIV_CFG = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-17, max_subdivisions=34)
-
 
 def _unit_bubble(amb: Ambient, scale: float) -> BubbleParam:
     return BubbleParam(1.0, (0.0,) * amb.d, scale)
@@ -139,14 +137,13 @@ def derivative_check(
     amb: Ambient,
     lam: float = 1e-6,
     h_fd: float = 1e-4,
-    cfg: QuadratureConfig = _DERIV_CFG,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> DerivativeCheck:
-    """Central finite differences of quadrature-evaluated F and G at mu = 1,
+    """Central finite differences of the closed-form F and G at mu = 1,
     compared to the closed forms a_d, b_d, c0.
 
-    The default step 1e-4 balances second-order truncation against quadrature
-    noise; the default quadrature tolerance is tightened well below the
-    module default because second differences divide by h_fd^2.
+    The default step 1e-4 balances second-order truncation against the
+    rounding error of F, which second differences divide by h_fd^2.
     """
     if not 0.0 < lam <= 1e-2:
         raise ParameterError(f"lambda must lie in (0, 1e-2], got {lam}")

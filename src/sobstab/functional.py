@@ -4,7 +4,8 @@ the Sobolev quotient S(f), and the stability quotient E(f).
 
 The distance never touches a derivative: with m(f) = sup_{h in M1} (f, h^(2*-1))^2
 one has dist(f, M)^2 = ||f||_{H^s}^2 - S_d m(f), so everything reduces to the
-pairings of the bubbles module plus a low-dimensional maximizer search.
+closed-form pairings of the bubbles module plus a low-dimensional maximizer
+search; only ||f||_{2*} takes a quadrature.
 
 The m-search is heuristic-global (deterministic multi-start); a certified
 global bound is out of scope.  For same-sign concentric superpositions the
@@ -21,21 +22,21 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .bubbles import (
     BubbleParam,
     Geometry,
     Superposition,
     _axis,
+    _conformal_ratio,
     _pair_radial,
     hs_norm_sq,
     lp_norm,
-    pair_against_bubble,
+    pair_against_bubble,  # noqa: F401 -- unused; bench/spans.py wraps it here
 )
 from .constants import sharp_constants
-from .errors import OptimizerError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .errors import GeometryError, OptimizerError
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, check_config
 
 __all__ = [
     "MOptimum",
@@ -151,21 +152,6 @@ def _cluster_1d(
     return out
 
 
-def _conformal_ratio(l1: float, l2: float, r2: float) -> float:
-    """Concentric-equivalent scale ratio t >= 1 for bubbles with scales
-    l1, l2 and squared center distance r2.
-
-    The H^s pairing of two bubbles is conformally invariant, hence a function
-    of the single invariant t + 1/t = l1/l2 + l2/l1 + l1*l2*r2 alone; t is
-    the ratio that a concentric pair with the same invariant would have.
-    The excess e = t + 1/t - 2 is assembled cancellation-free.
-    """
-    e = (l1 - l2) ** 2 / (l1 * l2) + l1 * l2 * r2
-    if e > 1e150:
-        return e + 2.0
-    return 1.0 + 0.5 * (e + math.sqrt(e * (e + 4.0)))
-
-
 def m_value(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> MOptimum:
     """Global maximum of (u, B_{x,mu}^(2*-1))^2 over admissible (x, mu).
 
@@ -173,8 +159,11 @@ def m_value(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> MOptimu
     the algebraic decay of the pairing in the scale ratio keeps the supremum
     interior for same-sign configurations.
     """
+    check_config(cfg)
     amb = u.ambient
     geo = u.geometry
+    if geo is Geometry.GENERAL:
+        raise GeometryError("m_value requires concentric or collinear centers")
     log_scales = sorted(math.log(t.scale) for t in u.terms)
     lo = log_scales[0] - _LOG_DOMAIN_PAD
     hi = log_scales[-1] + _LOG_DOMAIN_PAD
@@ -183,9 +172,10 @@ def m_value(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> MOptimu
 
     if geo is Geometry.CONCENTRIC and same_sign:
         x0 = u.terms[0].center
+        cls = [(t.coeff, t.scale) for t in u.terms]
 
         def q(lm: float) -> float:
-            p = pair_against_bubble(u, BubbleParam(1.0, x0, math.exp(lm)), cfg)
+            p = _pair_radial(amb, cls, math.exp(lm))
             return p * p
 
         starts = list(log_scales)
@@ -199,13 +189,14 @@ def m_value(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> MOptimu
             (BubbleParam(1.0, x0, math.exp(lm)), v) for lm, v in local
         ]
     else:
+        from scipy import optimize  # only this branch needs it
+
         centers = u._centers()
         p0, e, ts = _axis(centers)
         axial = [(t.coeff, float(ts[i]), t.scale) for i, t in enumerate(u.terms)]
 
-        # Search-time pairings go through the conformal invariant: each term
-        # contributes F(t_i), one shared radial quadrature per evaluation.
-        # Final candidate values are recomputed on the public pairing path.
+        # Pairings go through the conformal invariant: the term at axial
+        # position t_i contributes c_i F(t_i) for the probe at (a, mu).
         def q2(z: Sequence[float]) -> float:
             a, lm = float(z[0]), float(z[1])
             lm = min(max(lm, -700.0), 700.0)
@@ -214,7 +205,7 @@ def m_value(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> MOptimu
                 (c, _conformal_ratio(lam, mu, (ti - a) ** 2))
                 for c, ti, lam in axial
             ]
-            p = _pair_radial(amb, cls, 1.0, cfg).value
+            p = _pair_radial(amb, cls, 1.0)
             return p * p
 
         cands2: list[tuple[float, float, float]] = []
@@ -259,11 +250,10 @@ def m_value(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> MOptimu
                     break
             if not dup:
                 merged.append((a, lm, v))
-        bubbles = []
-        for a, lm, _v in merged:
-            b = BubbleParam(1.0, tuple(p0 + a * e), math.exp(lm))
-            p = pair_against_bubble(u, b, cfg)
-            bubbles.append((b, p * p))
+        bubbles = [
+            (BubbleParam(1.0, tuple(p0 + a * e), math.exp(lm)), v)
+            for a, lm, v in merged
+        ]
 
     bubbles.sort(key=lambda bv: (-bv[1], math.log(bv[0].scale)))
     best_value = bubbles[0][1]

@@ -94,6 +94,14 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
+def check_config(cfg: object) -> None:
+    """Raise ParameterError unless cfg is a QuadratureConfig."""
+    if not isinstance(cfg, QuadratureConfig):
+        raise ParameterError(
+            f"cfg must be a QuadratureConfig, got {type(cfg).__name__}"
+        )
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float

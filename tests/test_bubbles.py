@@ -428,3 +428,22 @@ class TestQuadratureConfigThreading:
         a = hs_norm_sq(u, loose)
         b = hs_norm_sq(u, DEFAULT_CONFIG)
         assert a == pytest.approx(b, rel=1e-5)
+
+
+class TestConfigValidation:
+    """The closed-form pairings never touch the quadrature config, so each
+    public entry point checks its type itself."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda u, cfg: pair_against_bubble(u, BubbleParam(1.0, ORIGIN3, 2.0), cfg),
+            lambda u, cfg: hs_inner(u, u, cfg),
+            lambda u, cfg: hs_norm_sq(u, cfg),
+            lambda u, cfg: lp_norm(u, cfg),
+        ],
+        ids=["pair_against_bubble", "hs_inner", "hs_norm_sq", "lp_norm"],
+    )
+    def test_bad_config_is_parameter_error(self, call):
+        with pytest.raises(ParameterError):
+            call(single(AMB31), "not a config")

@@ -1,9 +1,14 @@
 """End-to-end command-line checks, run in-process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sobstab
 from sobstab.cli import main
 from sobstab.constants import Ambient, sharp_constants
 from sobstab.thresholds import compare
@@ -279,3 +284,29 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestImportCost:
+    """Only the Nelder-Mead branch of m_value needs scipy.optimize, so
+    importing the package and running a closed-form command must not load it."""
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import sobstab",
+            "import runpy; sys.argv = ['sobstab', 'constants', '--d', '3', '--s', '1']\n"
+            "try:\n    runpy.run_module('sobstab.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n    assert exc.code == 0, exc.code",
+        ],
+        ids=["import", "cli-constants"],
+    )
+    def test_scipy_optimize_not_loaded(self, code):
+        src = str(Path(sobstab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = f"import sys\n{code}\nprint('scipy.optimize' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"

@@ -256,6 +256,27 @@ class TestValidation:
         with pytest.raises(GeometryError):
             functional_report(u)
 
+    def test_m_value_rejects_general_geometry(self):
+        from sobstab.errors import GeometryError
+
+        u = Superposition(
+            AMB31,
+            (
+                BubbleParam(1.0, (0.0, 0.0, 0.0), 1.0),
+                BubbleParam(1.0, (1.0, 0.0, 0.0), 1.0),
+                BubbleParam(1.0, (0.0, 1.0, 0.0), 1.0),
+            ),
+        )
+        with pytest.raises(GeometryError):
+            m_value(u)
+
+    @pytest.mark.parametrize("pairs", [((1.0, 1.0),), ((1.0, 1.0), (-0.5, 2.0))])
+    def test_bad_config_is_parameter_error(self, pairs):
+        with pytest.raises(ParameterError):
+            m_value(concentric(AMB31, *pairs), cfg="not a config")
+        with pytest.raises(ParameterError):
+            functional_report(concentric(AMB31, *pairs), cfg="not a config")
+
     def test_moptimum_is_frozen(self):
         u = concentric(AMB31, (1.0, 1.0))
         mopt = m_value(u)
