@@ -8,11 +8,19 @@ directions are compactified with the algebraic substitution r = t/(1-t),
 which maps the algebraic decay of every integrand in this toolkit (r^-(d+2s)
 or faster) to regular integrable endpoint behavior -- no cutoff parameter.
 
-Integrands may be written either as scalar functions or as numpy-vectorized
-functions of an ndarray; the engine detects which on the first panel.  Multi-
-scale integrands (superpositions of bubbles at scales lambda_i) should pass
-the characteristic radii through ``knots`` so the initial panels already
-separate the scales.
+The engine refines a batch of integrals over the same initial segments in
+lockstep: each step splits the worst panel of every integral not yet
+converged and evaluates all the new panels in one vectorized call.  Each
+integral keeps the panel order, subdivision limits and termination rule it
+would have alone, so its result does not depend on the batch.  The half-line
+and real-line integrators are batches of one; the axisymmetric integrator
+runs the radial integrals at the nodes of each axial panel as one batch.
+
+Half-line and real-line integrands may be written either as scalar functions
+or as numpy-vectorized functions of a 1-D ndarray; the engine detects which
+on the first call.  Multi-scale integrands (superpositions of bubbles at
+scales lambda_i) should pass the characteristic radii through ``knots`` so
+the initial panels already separate the scales.
 """
 
 from __future__ import annotations
@@ -133,73 +141,162 @@ class _Integrand:
         )
 
 
-def _panel(g: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """Evaluate the Kronrod/Gauss pair on [a, b]; returns (value, error)."""
+def _flat(fw: _Integrand) -> Callable:
+    """Lift a 1-D integrand to the engine's (rows, xs) contract."""
+
+    def g(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        return fw(xs.ravel()).reshape(xs.shape)
+
+    return g
+
+
+def _evaluate(
+    panels: list[tuple], funcs: list[Callable]
+) -> tuple[list[float], list[float]]:
+    """Kronrod values and error estimates of panels (row, segment, a, b,
+    depth), with one call per distinct integrand."""
+    a = np.array([p[2] for p in panels])
+    b = np.array([p[3] for p in panels])
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    ys = g(c + h * _NODES)
-    if not np.all(np.isfinite(ys)):
+    xs = c[:, None] + h[:, None] * _NODES
+    rows = np.array([p[0] for p in panels])
+    gs = [funcs[p[1]] for p in panels]
+    if all(g is gs[0] for g in gs):
+        ys = gs[0](rows, xs)
+    else:
+        ys = np.empty_like(xs)
+        for g in dict.fromkeys(gs):
+            sel = np.array([x is g for x in gs])
+            ys[sel] = g(rows[sel], xs[sel])
+    ys = np.ascontiguousarray(ys, dtype=float)
+    finite = np.isfinite(ys).all(axis=1)
+    if not finite.all():
+        _, _, pa, pb, _ = panels[int(finite.argmin())]
         raise ParameterError(
-            f"integrand returned a non-finite value on panel [{a}, {b}]"
+            f"integrand returned a non-finite value on panel [{pa}, {pb}]"
         )
-    k15 = h * float(_WK @ ys)
-    g7 = h * float(_WGAUSS @ ys)
-    return k15, abs(k15 - g7)
+    # vecdot sums each row as the 1-D dot product of a single panel does.
+    k15 = h * np.vecdot(ys, _WK)
+    g7 = h * np.vecdot(ys, _WGAUSS)
+    return k15.tolist(), np.abs(k15 - g7).tolist()
+
+
+# A running sum s <- fl(s + x) errs by at most 2^-53 |fl(s + x)| per step;
+# the drift bound doubles that.  _SLACK absorbs the rounding of the cheap
+# termination test itself.
+_ULP = 2.0**-52
+_SLACK = 1.0 + 2.0**-40
+
+
+class _Row:
+    """Refinement state of one integral of a lockstep batch."""
+
+    __slots__ = ("heap", "frozen", "panels", "evals", "val", "err", "dval", "derr")
+
+    def __init__(self) -> None:
+        # (-err, seq, a, b, depth, val, segment): the segment's index rather
+        # than its integrand keeps the tuple out of the garbage collector's
+        # traversals, which a 20000-panel heap makes costly.
+        self.heap: list[tuple] = []
+        self.frozen: list[tuple[float, float]] = []  # (val, err) at max depth
+        self.panels = 0
+        self.evals = 0
+        # Running totals over the live panels; dval and derr sum the
+        # magnitudes of their partial results, so _ULP * dval bounds the
+        # drift of val from the exact sum (likewise for err).
+        self.val = self.err = self.dval = self.derr = 0.0
+
+    def unmet(self, cfg: QuadratureConfig) -> bool:
+        """True if even the drift-widened running totals miss the tolerance."""
+        val, err = abs(self.val), abs(self.err)
+        lo = err - _ULP * (self.derr + err)
+        hi = max(cfg.rel_tol * (val + _ULP * (self.dval + val)), cfg.abs_tol)
+        return lo > _SLACK * hi
+
+    def exact(self) -> tuple[float, float]:
+        """fsum totals of the live panels; resets the running totals."""
+        val = math.fsum([p[5] for p in self.heap] + [v for v, _ in self.frozen])
+        err = math.fsum([-p[0] for p in self.heap] + [e for _, e in self.frozen])
+        self.val, self.err, self.dval, self.derr = val, err, abs(val), err
+        return val, err
 
 
 def _integrate_segments(
-    segments: Sequence[tuple[Callable, float, float]], cfg: QuadratureConfig
-) -> QuadratureResult:
-    """Adaptive refinement over initial (integrand, a, b) segments.
+    segments: Sequence[tuple[Callable, float, float]],
+    cfg: QuadratureConfig,
+    n: int = 1,
+) -> list[QuadratureResult]:
+    """Adaptive refinement of n integrals over shared initial (g, a, b) segments.
 
-    Panels are queued by error estimate, largest first, and split at their
-    midpoints until the summed estimate meets max(rel_tol*|value|, abs_tol).
-    A panel may be bisected at most ``max_subdivisions`` times.
+    ``g(rows, xs)`` evaluates at an (m, 15) array of nodes whose k-th row
+    belongs to integral ``rows[k]``.  Each integral queues its panels by error
+    estimate, largest first, and splits them at their midpoints until the
+    fsum of its estimates meets max(rel_tol*|value|, abs_tol); a panel may be
+    bisected at most ``max_subdivisions`` times.  The integrals refine in
+    lockstep: every step splits the worst panel of each integral still open
+    and evaluates all new panels together.  The first integral that cannot
+    converge raises QuadratureNonConvergence with its best estimate.
     """
-    heap: list[tuple[float, int, Callable, float, float, int]] = []
-    live: dict[int, tuple[float, float]] = {}
-    seq = 0
-    evals = 0
-
-    def push(g, a, b, depth):
-        nonlocal seq, evals
-        val, err = _panel(g, a, b)
-        evals += 15
-        live[seq] = (val, err)
-        heapq.heappush(heap, (-err, seq, g, a, b, depth))
-        seq += 1
-
-    for g, a, b in segments:
+    for _, a, b in segments:
         if not b > a:
             raise ParameterError("segment endpoints must be increasing")
-        push(g, a, b, 0)
-
-    while True:
-        total_val = math.fsum(v for v, _ in live.values())
-        total_err = math.fsum(e for _, e in live.values())
-        if total_err <= max(cfg.rel_tol * abs(total_val), cfg.abs_tol):
-            return QuadratureResult(total_val, total_err, evals)
-        # Locate the worst panel that can still be refined.
-        split = None
-        while heap:
-            neg_err, sq, g, a, b, depth = heapq.heappop(heap)
-            if sq not in live:
-                continue  # stale entry from an earlier split
-            if depth >= cfg.max_subdivisions:
-                continue  # frozen: keeps contributing, cannot improve
-            split = (sq, g, a, b, depth)
-            break
-        if split is None or len(live) >= _MAX_PANELS:
-            raise QuadratureNonConvergence(
-                f"tolerance not met: error estimate {total_err:.3e} with "
-                f"{len(live)} panels at max_subdivisions={cfg.max_subdivisions}",
-                best=QuadratureResult(total_val, total_err, evals),
-            )
-        sq, g, a, b, depth = split
-        del live[sq]
-        mid = 0.5 * (a + b)
-        push(g, a, mid, depth + 1)
-        push(g, mid, b, depth + 1)
+    state = [_Row() for _ in range(n)]
+    results: list[QuadratureResult] = [None] * n  # type: ignore[list-item]
+    funcs = [g for g, _, _ in segments]
+    new = [
+        (i, k, float(a), float(b), 0)
+        for i in range(n)
+        for k, (_, a, b) in enumerate(segments)
+    ]
+    active: Iterable[int] = range(n)
+    while new:
+        for (i, k, a, b, depth), val, err in zip(new, *_evaluate(new, funcs)):
+            row = state[i]
+            # row.evals orders a row's panels by creation, as a sequence number.
+            heapq.heappush(row.heap, (-err, row.evals, a, b, depth, val, k))
+            row.panels += 1
+            row.evals += 15
+            row.val += val
+            row.dval += abs(row.val)
+            row.err += err
+            row.derr += abs(row.err)
+        new, still = [], []
+        for i in active:
+            row = state[i]
+            if not row.unmet(cfg):
+                val, err = row.exact()
+                if err <= max(cfg.rel_tol * abs(val), cfg.abs_tol):
+                    results[i] = QuadratureResult(val, err, row.evals)
+                    continue
+            # Locate the worst panel that can still be refined.
+            split = None
+            if row.panels < _MAX_PANELS:
+                while row.heap:
+                    panel = heapq.heappop(row.heap)
+                    if panel[4] < cfg.max_subdivisions:
+                        split = panel
+                        break
+                    row.frozen.append((panel[5], -panel[0]))  # cannot improve
+            if split is None:
+                val, err = row.exact()
+                raise QuadratureNonConvergence(
+                    f"tolerance not met: error estimate {err:.3e} with "
+                    f"{row.panels} panels at max_subdivisions={cfg.max_subdivisions}",
+                    best=QuadratureResult(val, err, row.evals),
+                )
+            neg_err, _, a, b, depth, val, k = split
+            row.panels -= 1
+            row.val -= val
+            row.dval += abs(row.val)
+            row.err += neg_err
+            row.derr += abs(row.err)
+            mid = 0.5 * (a + b)
+            new.append((i, k, a, mid, depth + 1))
+            new.append((i, k, mid, b, depth + 1))
+            still.append(i)
+        active = still
+    return results
 
 
 def _half_line_breaks(knots: Iterable[float] | None) -> list[float]:
@@ -211,6 +308,18 @@ def _half_line_breaks(knots: Iterable[float] | None) -> list[float]:
             if r > 0.0 and math.isfinite(r):
                 ts.add(r / (1.0 + r))
     return sorted(ts)
+
+
+def _half_line_segments(
+    g: Callable, breaks: list[float]
+) -> list[tuple[Callable, float, float]]:
+    """Segments integrating g over (0, inf) under the substitution r = t/(1-t)."""
+
+    def gt(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        one_minus = 1.0 - ts
+        return g(rows, ts / one_minus) / (one_minus * one_minus)
+
+    return [(gt, a, b) for a, b in zip(breaks[:-1], breaks[1:])]
 
 
 def integrate_half_line(
@@ -227,15 +336,8 @@ def integrate_half_line(
     shallow.  Raises QuadratureNonConvergence (carrying the best estimate)
     if the tolerance cannot be met within the subdivision budget.
     """
-    fw = _Integrand(f, vectorized)
-
-    def g(ts: np.ndarray) -> np.ndarray:
-        one_minus = 1.0 - ts
-        return fw(ts / one_minus) / (one_minus * one_minus)
-
-    breaks = _half_line_breaks(knots)
-    segments = [(g, a, b) for a, b in zip(breaks[:-1], breaks[1:])]
-    return _integrate_segments(segments, cfg)
+    g = _flat(_Integrand(f, vectorized))
+    return _integrate_segments(_half_line_segments(g, _half_line_breaks(knots)), cfg)[0]
 
 
 def integrate_real_line(
@@ -254,23 +356,23 @@ def integrate_real_line(
     ks = sorted({float(k) for k in knots})
     if not ks or not all(math.isfinite(k) for k in ks):
         raise ParameterError("integrate_real_line requires finite, nonempty knots")
-    fw = _Integrand(f, vectorized)
+    g = _flat(_Integrand(f, vectorized))
     lo, hi = ks[0], ks[-1]
 
-    def g_left(us: np.ndarray) -> np.ndarray:
+    def g_left(rows: np.ndarray, us: np.ndarray) -> np.ndarray:
         one_minus = 1.0 - us
-        return fw(lo - us / one_minus) / (one_minus * one_minus)
+        return g(rows, lo - us / one_minus) / (one_minus * one_minus)
 
-    def g_right(us: np.ndarray) -> np.ndarray:
+    def g_right(rows: np.ndarray, us: np.ndarray) -> np.ndarray:
         one_minus = 1.0 - us
-        return fw(hi + us / one_minus) / (one_minus * one_minus)
+        return g(rows, hi + us / one_minus) / (one_minus * one_minus)
 
     segments: list[tuple[Callable, float, float]] = []
     for a, b in zip(ks[:-1], ks[1:]):
-        segments.append((fw, a, b))
+        segments.append((g, a, b))
     segments.append((g_left, 0.0, 1.0))
     segments.append((g_right, 0.0, 1.0))
-    return _integrate_segments(segments, cfg)
+    return _integrate_segments(segments, cfg)[0]
 
 
 def integrate_axisymmetric(
@@ -287,9 +389,11 @@ def integrate_axisymmetric(
 
     with t the axial coordinate and rho >= 0 the distance from the axis
     (for d = 2 the angular factor is |S^0| = 2 and the rho-weight is 1).
-    f must accept (scalar t, ndarray rho).  The inner radial integration runs
-    at 10x tighter relative tolerance so the outer error estimate stays
-    meaningful.
+    f must broadcast over a column of axial values t, shape (m, 1), and a
+    matrix of radii rho, shape (m, 15), returning shape (m, 15).  The radial
+    integrals at the 15 nodes of an axial panel refine together as one
+    lockstep batch, at 10x tighter relative tolerance so the outer error
+    estimate stays meaningful.
     """
     if amb.d < 2:
         raise GeometryError(
@@ -302,21 +406,29 @@ def integrate_axisymmetric(
         max_subdivisions=cfg.max_subdivisions,
     )
     w = amb.d - 2
-    inner_evals = [0]
+    breaks = _half_line_breaks(radial_knots)
+    inner_evals = 0
 
-    def profile(t: float) -> float:
-        def g(rhos: np.ndarray) -> np.ndarray:
-            vals = np.asarray(f(t, rhos), dtype=float)
+    def radial(t_col: np.ndarray) -> list[QuadratureResult]:
+        def g(rows: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+            vals = np.asarray(f(t_col[rows], rhos), dtype=float)
             return vals * rhos**w if w else vals
 
-        res = integrate_half_line(g, inner_cfg, knots=radial_knots, vectorized=True)
-        inner_evals[0] += res.evaluations
-        return res.value
+        segments = _half_line_segments(g, breaks)
+        return _integrate_segments(segments, inner_cfg, len(t_col))
 
-    outer = integrate_real_line(profile, cfg, knots=axial_knots, vectorized=False)
+    def profile(ts: np.ndarray) -> np.ndarray:
+        nonlocal inner_evals
+        # One batch per axial panel, so that when a radial integral cannot
+        # converge, at most 14 others have refined alongside it.
+        inner = [r for tp in ts.reshape(-1, len(_NODES)) for r in radial(tp[:, None])]
+        inner_evals += sum(r.evaluations for r in inner)
+        return np.array([r.value for r in inner])
+
+    outer = integrate_real_line(profile, cfg, knots=axial_knots, vectorized=True)
     area = sphere_area(amb.d - 1)
     return QuadratureResult(
         area * outer.value,
         area * outer.error_estimate,
-        outer.evaluations + inner_evals[0],
+        outer.evaluations + inner_evals,
     )

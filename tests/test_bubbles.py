@@ -375,6 +375,53 @@ class TestLpNorm:
         )
         assert lp_norm(u) == pytest.approx(2.0 ** (1.0 / amb.two_star), rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "d, s, terms",
+        [
+            (2, 0.5, [(1.0, 0.0, 1.0), (-0.6, 1.5, 0.7)]),
+            (3, 1.0, [(1.0, 0.0, 1.0), (-0.7, 2.0, 0.5)]),
+            (3, 1.0, [(0.8, -1.0, 1.3), (-0.5, 0.5, 0.6), (0.9, 2.5, 1.8)]),
+            (5, 1.0, [(1.0, -0.5, 0.8), (-0.9, 1.0, 1.5)]),
+            (5, 1.0, [(-0.7, -2.0, 0.5), (1.0, 0.0, 1.0), (-0.4, 1.2, 2.0)]),
+            (7, 1.0, [(1.0, 0.0, 1.2), (-0.8, 1.5, 0.9), (0.5, 3.0, 0.6)]),
+        ],
+    )
+    def test_collinear_matches_dblquad(self, d, s, terms):
+        """Signed collinear superpositions against scipy's QUADPACK dblquad,
+        which shares no code with sobstab: |S^{d-2}| times the integral of
+        |u(t, rho)|^{2*} rho^{d-2} over the axial range, split at the
+        centers, and rho in (0, inf).  c_d comes from its defining Beta
+        integral, c_d^{2*} |S^{d-1}| B(d/2, d/2) / 2 = 1."""
+        from scipy.integrate import dblquad
+        from scipy.special import beta
+
+        p = 2.0 * d / (d - 2.0 * s)
+        b = (d - 2.0 * s) / 2.0
+        area_d = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+        area_d2 = 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
+        c_d = (area_d * beta(d / 2.0, d / 2.0) / 2.0) ** (-1.0 / p)
+
+        def integrand(rho, t):
+            u = sum(
+                c * lam**b * (1.0 + lam * lam * ((t - x) ** 2 + rho * rho)) ** (-b)
+                for c, x, lam in terms
+            )
+            return abs(c_d * u) ** p * rho ** (d - 2)
+
+        cuts = [-np.inf] + sorted(x for _, x, _ in terms) + [np.inf]
+        total = sum(
+            dblquad(integrand, lo, hi, 0.0, np.inf, epsabs=0.0, epsrel=1e-12)[0]
+            for lo, hi in zip(cuts[:-1], cuts[1:])
+        )
+        expected = (area_d2 * total) ** (1.0 / p)
+        u = Superposition(
+            Ambient(d, s),
+            tuple(
+                BubbleParam(c, (x,) + (0.0,) * (d - 1), lam) for c, x, lam in terms
+            ),
+        )
+        assert lp_norm(u) == pytest.approx(expected, rel=1e-10)
+
 
 class TestSchema:
     def test_roundtrip(self):

@@ -42,6 +42,15 @@ PAIR = {
     ],
 }
 
+COLLINEAR_PAIR = {
+    "d": 3,
+    "s": 1.0,
+    "terms": [
+        {"coeff": 1.0, "center": [0.0, 0.0, 0.0], "lambda": 1.0},
+        {"coeff": 0.7, "center": [2.0, 0.0, 0.0], "lambda": 0.5},
+    ],
+}
+
 
 class TestConstants:
     def test_json_payload(self, capsys):
@@ -146,6 +155,21 @@ class TestEval:
 
     def test_unreachable_tolerance_is_exit_3_not_certified(self, capsys, tmp_path):
         cfgp = write_config(tmp_path, PAIR)
+        rc, out, err = run(
+            capsys, "eval", "--config", cfgp,
+            "--rel-tol", "1e-16", "--abs-tol", "1e-300",
+        )
+        assert rc == 3
+        doc = json.loads(out)
+        assert doc["provenance"]["certified"] is False
+        assert doc["error"].startswith("QuadratureNonConvergence")
+
+    def test_unreachable_tolerance_collinear_is_exit_3_not_certified(
+        self, capsys, tmp_path
+    ):
+        """The collinear lp_norm refines a batch of radial integrals in
+        lockstep; the first that cannot converge must end the run."""
+        cfgp = write_config(tmp_path, COLLINEAR_PAIR)
         rc, out, err = run(
             capsys, "eval", "--config", cfgp,
             "--rel-tol", "1e-16", "--abs-tol", "1e-300",

@@ -1,6 +1,7 @@
 """Adaptive quadrature engine: exactness, error-estimate honesty, scale
 robustness, and the axisymmetric reduction."""
 
+import heapq
 import math
 
 import numpy as np
@@ -11,6 +12,9 @@ from hypothesis import strategies as st
 from sobstab.constants import Ambient, beta_half_line, sphere_area
 from sobstab.errors import GeometryError, ParameterError, QuadratureNonConvergence
 from sobstab.quadrature import (
+    _NODES,
+    _WGAUSS,
+    _WK,
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureResult,
@@ -220,6 +224,92 @@ class TestAxisymmetric:
         res = integrate_axisymmetric(f, amb, DEFAULT_CONFIG, axial_knots=[0.0, a])
         assert res.value == pytest.approx(math.pi**1.5, rel=1e-9)
 
+    def test_nonfinite_integrand_rejected_in_batch(self):
+        """A non-finite value in a batch of radial integrals names the
+        first panel that produced one."""
+
+        def f(t, rhos):
+            return np.where(rhos > 2.0, np.nan, np.exp(-(t * t + rhos * rhos)))
+
+        with pytest.raises(
+            ParameterError, match=r"non-finite value on panel \[0\.5, 1\.0\]"
+        ):
+            integrate_axisymmetric(f, Ambient(3, 1.0), DEFAULT_CONFIG)
+
+
+def _nested_reference(f, amb, cfg, axial_knots=(0.0,), radial_knots=None):
+    """The axisymmetric integral from the public one-dimensional integrators:
+    a scalar outer integrate_real_line whose integrand at each axial node t
+    is one integrate_half_line at 10x tighter tolerance.  Returns the value
+    and the total number of integrand evaluations."""
+    inner_cfg = QuadratureConfig(
+        rel_tol=cfg.rel_tol * 0.1,
+        abs_tol=cfg.abs_tol * 0.1,
+        max_subdivisions=cfg.max_subdivisions,
+    )
+    w = amb.d - 2
+    inner_evals = []
+
+    def profile(t):
+        res = integrate_half_line(
+            lambda rhos: f(t, rhos) * rhos**w,
+            inner_cfg,
+            knots=radial_knots,
+            vectorized=True,
+        )
+        inner_evals.append(res.evaluations)
+        return res.value
+
+    outer = integrate_real_line(profile, cfg, knots=axial_knots, vectorized=False)
+    value = sphere_area(amb.d - 1) * outer.value
+    return value, outer.evaluations + sum(inner_evals)
+
+
+_SIGNED_TERMS = ((1.0, -1.5, 0.3), (-0.6, 0.4, 1.0), (0.35, 2.0, 4.0))
+_SIGNED_AXIAL = [x + k / lam for _, x, lam in _SIGNED_TERMS for k in (-1, 0, 1)]
+_SIGNED_RADIAL = [k / lam for _, _, lam in _SIGNED_TERMS for k in (0.25, 1.0, 4.0)]
+
+
+def _signed_bubbles(t, rhos):
+    """|u|^{2*} of a signed three-term collinear superposition at d = 5,
+    s = 1 (bubble profile (1 + |x|^2)^(-3/2), 2* = 10/3), scales 0.3 to 4."""
+    u = 0.0
+    for c, x, lam in _SIGNED_TERMS:
+        z2 = lam * lam * ((t - x) ** 2 + rhos * rhos)
+        u = u + c * lam**1.5 * (1.0 + z2) ** -1.5
+    return np.abs(u) ** (10.0 / 3.0)
+
+
+class TestLockstepBatch:
+    """integrate_axisymmetric refines the radial integrals of an axial panel
+    together; each must match the same integral refined alone."""
+
+    @pytest.mark.parametrize(
+        "f, amb, kwargs",
+        [
+            (lambda t, r: (1.0 + t * t + r * r) ** -3.0, Ambient(2, 0.5), {}),
+            (lambda t, r: (1.0 + t * t + r * r) ** -4.0, Ambient(3, 0.5), {}),
+            (lambda t, r: (1.0 + t * t + r * r) ** -6.0, Ambient(5, 0.5), {}),
+            (lambda t, r: np.exp(-(t * t + r * r)), Ambient(3, 1.0), {}),
+            (
+                lambda t, r: np.exp(-((t - 7.0) ** 2 + r * r)),
+                Ambient(3, 1.0),
+                dict(axial_knots=[0.0, 7.0]),
+            ),
+            (
+                _signed_bubbles,
+                Ambient(5, 1.0),
+                dict(axial_knots=_SIGNED_AXIAL, radial_knots=_SIGNED_RADIAL),
+            ),
+        ],
+        ids=["radial-d2", "radial-d3", "radial-d5", "gaussian", "off-center", "signed"],
+    )
+    def test_matches_per_node_nested_reference(self, f, amb, kwargs):
+        res = integrate_axisymmetric(f, amb, DEFAULT_CONFIG, **kwargs)
+        value, evaluations = _nested_reference(f, amb, DEFAULT_CONFIG, **kwargs)
+        assert res.evaluations == evaluations
+        assert res.value == pytest.approx(value, rel=1e-14)
+
 
 class TestDeterminism:
     def test_same_inputs_same_bits(self):
@@ -231,3 +321,74 @@ class TestDeterminism:
         assert r1.value == r2.value
         assert r1.error_estimate == r2.error_estimate
         assert r1.evaluations == r2.evaluations
+
+
+def _exact_rule_reference(f, cfg, knots=()):
+    """integrate_half_line restated as the plain adaptive loop: the fsum of
+    every live panel is taken before each split, and the worst panel below
+    max_subdivisions is bisected.  Returns its QuadratureResult, or the
+    best estimate it raised QuadratureNonConvergence with."""
+
+    def g(ts):
+        return f(ts / (1.0 - ts)) / (1.0 - ts) ** 2
+
+    heap, live, evals = [], {}, 0
+
+    def push(a, b, depth):
+        nonlocal evals
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        ys = g(c + h * _NODES)
+        k15, g7 = h * float(_WK @ ys), h * float(_WGAUSS @ ys)
+        live[evals] = (k15, abs(k15 - g7))
+        heapq.heappush(heap, (-abs(k15 - g7), evals, a, b, depth))
+        evals += 15
+
+    breaks = sorted({0.0, 0.5, 1.0} | {r / (1.0 + r) for r in knots})
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        push(a, b, 0)
+    while True:
+        val = math.fsum(v for v, _ in live.values())
+        err = math.fsum(e for _, e in live.values())
+        result = QuadratureResult(val, err, evals)
+        if err <= max(cfg.rel_tol * abs(val), cfg.abs_tol):
+            return result
+        while heap:
+            _, seq, a, b, depth = heapq.heappop(heap)
+            if depth < cfg.max_subdivisions:
+                break
+        else:
+            return result
+        del live[seq]
+        mid = 0.5 * (a + b)
+        push(a, mid, depth + 1)
+        push(mid, b, depth + 1)
+
+
+class TestExactRule:
+    """The running totals only decide when to take the exact fsum: the
+    panels refined and the bits returned are those of the exact rule."""
+
+    @pytest.mark.parametrize(
+        "f, cfg, knots",
+        [
+            (lambda r: r**2.0 * (1.0 + r * r) ** -3.0, TIGHT, ()),
+            (lambda r: r**0.5 * (1.0 + r * r) ** -2.25, DEFAULT_CONFIG, ()),
+            (lambda r: np.sin(3.0 * r) * np.exp(-r), TIGHT, ()),
+            (lambda r: np.cos(2.0 * r) / (1.0 + r * r) ** 2, TIGHT, (1.0,)),
+            (lambda r: 1e-9 * (1.0 + (1e3 * r) ** 2) ** -1.5, TIGHT, (1e-3,)),
+            (lambda r: np.sqrt(r) * np.exp(-r), TIGHT, ()),
+            (
+                lambda r: (1.0 + r * r) ** -1.2345,
+                QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=6),
+                (),
+            ),
+        ],
+        ids=["beta", "beta-default", "signed", "cos", "narrow", "sqrt", "frozen"],
+    )
+    def test_half_line_matches_exact_rule(self, f, cfg, knots):
+        expected = _exact_rule_reference(f, cfg, knots)
+        try:
+            res = integrate_half_line(f, cfg, knots=knots, vectorized=True)
+        except QuadratureNonConvergence as exc:
+            res = exc.best
+        assert res == expected
