@@ -278,14 +278,18 @@ def _pairings(
     return _pair_kernel(amb, _conformal_ratio(scales[:n, None], scales[n:], r2))
 
 
-def _pair_radial(
-    amb: Ambient, cls: Sequence[tuple[float, float]], mu: float
-) -> float:
-    """(sum c_i B_{0,lambda_i}, B_{0,mu}^(2*-1)) for a common center:
-    sum c_i F(max(lambda_i/mu, mu/lambda_i))."""
-    coeffs, lams = np.array(cls, dtype=float).T
-    ratios = lams / mu
-    return math.fsum(coeffs * _pair_kernel(amb, np.maximum(ratios, 1.0 / ratios)))
+def _pair_radial(amb: Ambient, axial: tuple, a, z) -> np.ndarray:
+    """Pairings (u, B_{a, e^z}^(2*-1)) = sum_i c_i F(t_i) of the bubbles
+    axial = (coeffs, positions, scales) on one axis with the unit probes of
+    axial position a and log scale z on that axis, vectorized over the
+    broadcast shape of a and z.  This is the m-search objective; the
+    traced benchmark (bench/spans.py) counts its calls under this name."""
+    coeffs, pos, lams = axial
+    a, z = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(z, dtype=float))
+    t = _conformal_ratio(
+        lams[:, None], np.exp(z.ravel()), np.square(pos[:, None] - a.ravel())
+    )
+    return (coeffs @ _pair_kernel(amb, t)).reshape(a.shape)
 
 
 def _scale_ladder(scales: Sequence[float]) -> list[float]:

@@ -8,9 +8,10 @@ provenance header (toolkit version, ambient, tolerances) together with a
 note that reported quotients are empirical values and upper bounds only.
 
 Exit codes: 0 on success; 2 on validation errors (bad parameters, malformed
-or mis-shaped input JSON, unsupported geometry); 3 on numerical
-non-convergence, in which case a best-effort report is still written with a
-``certified: false`` marker.
+or mis-shaped input JSON, unsupported geometry); 3 on quadrature
+non-convergence, in which case the document written holds the provenance,
+marked ``certified: false``, and the error message (sweep-grid writes its
+other rows and marks the failed ones).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Sequence
 
 from . import __version__
@@ -31,7 +31,6 @@ from .bubbles import (
 from .constants import Ambient, sharp_constants
 from .errors import (
     GeometryError,
-    OptimizerError,
     ParameterError,
     QuadratureNonConvergence,
     SobstabError,
@@ -153,49 +152,6 @@ def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
 
 
 # ---------------------------------------------------------------------------
-# parallel workers (module level so they pickle under a process pool)
-
-
-def _expand_task(task: tuple[float, int, float, float, float]):
-    lam, d, s, rel, abs_ = task
-    return sweep_point(lam, Ambient(d, s), QuadratureConfig(rel_tol=rel, abs_tol=abs_))
-
-
-def _grid_task(task: tuple[int, float, float, float, float, float, float]):
-    d, s, rel, abs_, c2, lam, sep = task
-    try:
-        amb = Ambient(d, s)
-        cfg = QuadratureConfig(rel_tol=rel, abs_tol=abs_)
-        origin = (0.0,) * d
-        center2 = (sep,) + (0.0,) * (d - 1)
-        u = Superposition(
-            amb,
-            (BubbleParam(1.0, origin, 1.0), BubbleParam(c2, center2, lam)),
-        )
-        rep = functional_report(u, cfg)
-        return (
-            "ok",
-            (
-                rep.hs_norm_sq,
-                rep.lp_norm,
-                rep.m.value,
-                rep.dist_sq,
-                rep.sobolev_quotient,
-                rep.be_quotient,
-            ),
-        )
-    except SobstabError as exc:
-        return ("error", f"{type(exc).__name__}: {exc}")
-
-
-def _map_ordered(worker, tasks: list, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
-
-
-# ---------------------------------------------------------------------------
 # subcommand handlers
 
 
@@ -296,7 +252,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _quad_config(args)
     try:
         payload = _functional_payload(u, cfg)
-    except (QuadratureNonConvergence, OptimizerError) as exc:
+    except QuadratureNonConvergence as exc:
         doc = {
             "provenance": _provenance(u.ambient, cfg, certified=False),
             "error": f"{type(exc).__name__}: {exc}",
@@ -313,7 +269,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     cfg = _quad_config(args)
     try:
         rep = functional_report(u, cfg)
-    except (QuadratureNonConvergence, OptimizerError) as exc:
+    except QuadratureNonConvergence as exc:
         doc = {
             "provenance": _provenance(u.ambient, cfg, certified=False),
             "error": f"{type(exc).__name__}: {exc}",
@@ -361,10 +317,9 @@ def _cmd_expand(args: argparse.Namespace) -> int:
                 )
     else:
         grid = default_lambda_grid(amb, cfg)
-    tasks = [(lam, amb.d, amb.s, cfg.rel_tol, cfg.abs_tol) for lam in grid]
     try:
-        points = _map_ordered(_expand_task, tasks, args.jobs)
-    except (QuadratureNonConvergence, OptimizerError) as exc:
+        points = [sweep_point(lam, amb, cfg) for lam in grid]
+    except QuadratureNonConvergence as exc:
         doc = {
             "provenance": _provenance(amb, cfg, certified=False),
             "error": f"{type(exc).__name__}: {exc}",
@@ -422,6 +377,30 @@ _GRID_HEADER = (
 )
 
 
+def _grid_row(
+    amb: Ambient, cfg: QuadratureConfig, c2: float, lam: float, sep: float,
+    bound: float,
+) -> list[Any]:
+    """One sweep-grid row; a failed point carries its error as status."""
+    try:
+        u = Superposition(
+            amb,
+            (
+                BubbleParam(1.0, (0.0,) * amb.d, 1.0),
+                BubbleParam(c2, (sep,) + (0.0,) * (amb.d - 1), lam),
+            ),
+        )
+        rep = functional_report(u, cfg)
+    except SobstabError as exc:
+        return [c2, lam, sep, f"{type(exc).__name__}: {exc}"] + [None] * 7
+    be = rep.be_quotient
+    return [
+        c2, lam, sep, "ok", rep.hs_norm_sq, rep.lp_norm, rep.m.value,
+        rep.dist_sq, rep.sobolev_quotient, be,
+        be is not None and be < 0.95 * bound,
+    ]
+
+
 def _cmd_sweep_grid(args: argparse.Namespace) -> int:
     amb = Ambient(args.d, args.s)
     cfg = _quad_config(args)
@@ -434,24 +413,13 @@ def _cmd_sweep_grid(args: argparse.Namespace) -> int:
     for sep in seps:
         if sep < 0.0:
             raise ParameterError(f"--separation values must be >= 0, got {sep}")
-    combos = list(itertools.product(c2s, lams, seps))
-    tasks = [
-        (amb.d, amb.s, cfg.rel_tol, cfg.abs_tol, c2, lam, sep)
-        for c2, lam, sep in combos
-    ]
-    results = _map_ordered(_grid_task, tasks, args.jobs)
     thresholds = compare(amb)
     bound = min(thresholds.c_spec, thresholds.c_two_peak)
-    rows: list[list[Any]] = []
-    failures = 0
-    for (c2, lam, sep), (status, payload) in zip(combos, results):
-        if status == "ok":
-            hs, lp, m, d2, quot, be = payload
-            flagged = be is not None and be < 0.95 * bound
-            rows.append([c2, lam, sep, "ok", hs, lp, m, d2, quot, be, flagged])
-        else:
-            failures += 1
-            rows.append([c2, lam, sep, payload, None, None, None, None, None, None, None])
+    rows = [
+        _grid_row(amb, cfg, c2, lam, sep, bound)
+        for c2, lam, sep in itertools.product(c2s, lams, seps)
+    ]
+    failures = sum(row[3] != "ok" for row in rows)
     prov = _provenance(amb, cfg, certified=failures == 0)
     doc = _csv_doc(prov, _GRID_HEADER, rows)
     _emit(doc, args.out)
@@ -485,6 +453,13 @@ def _add_output(p: argparse.ArgumentParser, formats: tuple[str, ...] | None) -> 
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     if formats:
         p.add_argument("--format", choices=formats, default=formats[0])
+
+
+def _add_jobs(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility and ignored: points run in this process",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -534,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda", dest="lam_list", default=None,
         help="comma-separated scale list (default: auto grid)",
     )
-    p.add_argument("--jobs", type=int, default=1)
+    _add_jobs(p)
     _add_output(p, ("csv", "json"))
     p.set_defaults(func=_cmd_expand)
 
@@ -552,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--separation", required=True,
         help="comma-separated center separations along the first axis",
     )
-    p.add_argument("--jobs", type=int, default=1)
+    _add_jobs(p)
     _add_output(p, ("csv",))
     p.set_defaults(func=_cmd_sweep_grid)
 
@@ -567,7 +542,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParameterError, GeometryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (QuadratureNonConvergence, OptimizerError) as exc:
+    except QuadratureNonConvergence as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
 

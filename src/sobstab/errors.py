@@ -2,7 +2,7 @@
 
 Everything user-facing derives from :class:`SobstabError` so the CLI can map
 failures onto its exit codes: validation problems (exit 2) versus numerical
-non-convergence (exit 3, best-effort result still reported).
+non-convergence (exit 3, output marked non-certified).
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ class QuadratureNonConvergence(SobstabError):
 class OptimizerError(SobstabError):
     """A maximizer search did not converge.
 
-    Carries the best optimum found so far in :attr:`best`; results derived
-    from it must be flagged non-certified, never silently returned.
+    No search in the toolkit raises it: the m-search is a fixed grid scan
+    with a bounded polish.  It stays exported so that callers' ``except``
+    clauses keep working.  Carries the best optimum found in :attr:`best`.
     """
 
     def __init__(self, message: str, best=None):

@@ -7,19 +7,18 @@ one has dist(f, M)^2 = ||f||_{H^s}^2 - S_d m(f), so everything reduces to the
 closed-form pairings of the bubbles module plus a low-dimensional maximizer
 search; only ||f||_{2*} takes a quadrature.
 
-The m-search is heuristic-global (deterministic multi-start); a certified
-global bound is out of scope.  For same-sign concentric superpositions the
-maximizer center provably coincides with the common center (symmetric-
-decreasing rearrangement), so the search is one-dimensional in log(scale);
-sign-changing or collinear configurations get a derivative-free simplex
-search over (axial coordinate, log scale) seeded at every term.
+The m-search is heuristic-global (a fixed grid scan of the closed-form
+objective over (axial position, log scale), every grid peak polished by
+Newton steps); a certified global bound is out of scope.  For same-sign
+concentric superpositions the maximizer center provably coincides with the
+common center (symmetric-decreasing rearrangement), so there the grid is one
+column in log(scale).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,14 +27,13 @@ from .bubbles import (
     Geometry,
     Superposition,
     _axis,
-    _conformal_ratio,
     _pair_radial,
     hs_norm_sq,
     lp_norm,
     pair_against_bubble,  # noqa: F401 -- unused; bench/spans.py wraps it here
 )
 from .constants import sharp_constants
-from .errors import GeometryError, OptimizerError
+from .errors import GeometryError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, check_config
 
 __all__ = [
@@ -54,9 +52,21 @@ __all__ = [
 ON_MANIFOLD_REL_TOL = 1e-8
 
 _LOG_DOMAIN_PAD = 12.0
-_GOLDEN_XTOL = 1e-10
 _CLUSTER_TOL = 1e-6
 _TIE_TOL = 1e-10
+# m-search scan: grid points per unit of log scale, and axial points per
+# term over its center +- _AXIAL_REACH widths.
+_Z_PER_UNIT = 3
+_AXIAL_PER_TERM = 25
+_AXIAL_REACH = 4.0
+# m-search polish: central-difference step (in log scale and in probe
+# widths), the step below which a peak counts as converged, and a step cap.
+_FD_STEP = 1e-5
+_POLISH_TOL = 1e-9
+_POLISH_ITERS = 60
+# Stencil offsets (axial, log scale), flattened from [b offset, z offset]
+# with offsets ordered (0, -1, +1).
+_DB, _DZ = np.array([(i, j) for i in (0, -1, 1) for j in (0, -1, 1)], float).T
 
 
 @dataclass(frozen=True)
@@ -85,176 +95,162 @@ class FunctionalReport:
     be_quotient: float | None
 
 
-def _golden_max(
-    q: Callable[[float], float], a: float, b: float, xtol: float
-) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal q on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = 1.0 - invphi
-    h = b - a
-    x1 = a + invphi2 * h
-    x2 = a + invphi * h
-    f1 = q(x1)
-    f2 = q(x2)
-    while h > xtol:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            h = b - a
-            x1 = a + invphi2 * h
-            f1 = q(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            h = b - a
-            x2 = a + invphi * h
-            f2 = q(x2)
-    x = 0.5 * (a + b)
-    return x, q(x)
+def _grid_peaks(q: np.ndarray) -> np.ndarray:
+    """Mask of the grid points that no 8-neighbour exceeds."""
+    n, k = q.shape
+    pad = np.pad(q, 1, constant_values=-np.inf)
+    peak = q == q  # False at NaN
+    for i in range(3):
+        for j in range(3):
+            if (i, j) != (1, 1):
+                peak &= q >= pad[i : i + n, j : j + k]
+    return peak
 
 
-def _expand_bracket(
-    q: Callable[[float], float], x0: float, step: float, lo: float, hi: float
-) -> tuple[float, float]:
-    """Expand from x0 until a local maximum is bracketed (or a bound is hit)."""
-    x0 = min(max(x0, lo), hi)
-    xl, xr = max(lo, x0 - step), min(hi, x0 + step)
-    fl, f0, fr = q(xl), q(x0), q(xr)
-    if f0 >= fl and f0 >= fr:
-        return xl, xr
-    if fr >= fl:
-        prev, cur, fprev, fcur, direction = x0, xr, f0, fr, 1.0
-        anchor = xl
-    else:
-        prev, cur, fprev, fcur, direction = x0, xl, f0, fl, -1.0
-        anchor = xr
-    while True:
-        step *= 2.0
-        nxt = cur + direction * step
-        nxt = min(max(nxt, lo), hi)
-        if nxt == cur:  # pinned at a bound while still rising
-            return (min(anchor, cur), max(anchor, cur))
-        fnxt = q(nxt)
-        if fnxt < fcur:
-            return (min(prev, nxt), max(prev, nxt))
-        anchor, prev, cur, fprev, fcur = prev, cur, nxt, fcur, fnxt
+def _polish(
+    amb, axial: tuple, a: np.ndarray, z: np.ndarray, rb: np.ndarray,
+    rz: np.ndarray, z_lo: float, z_hi: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton ascent of P(a, z)^2 from every start (a[k], z[k]) at once.
 
+    Gradient and Hessian come from a 3x3 central-difference stencil in
+    (b, z), b the axial offset in probe widths e^-z; the stencils of all
+    starts go into one objective call per step.  A step is clipped to the
+    trust box (rb, rz) and to [z_lo, z_hi], and accepted only if the value
+    does not decrease.  The box then doubles, up to its initial size;
+    after a rejection it shrinks to half the rejected step.  A start is
+    done once its step is below _POLISH_TOL.  Returns the polished points
+    and their values.
+    """
+    h = _FD_STEP
+    q = np.full(len(a), -np.inf)
+    ta, tz = a.copy(), z.copy()  # trial points
+    rb0, rz0 = rb.copy(), rz.copy()
+    grad = np.zeros((len(a), 2))
+    hess = np.zeros((len(a), 3))  # (bb, zz, bz)
+    live = np.arange(len(a))
+    for _ in range(_POLISH_ITERS):
+        if not live.size:
+            break
+        w = np.exp(-tz[live, None])
+        qs = _pair_radial(
+            amb, axial, ta[live, None] + h * w * _DB, tz[live, None] + h * _DZ
+        )
+        qs = (qs * qs).reshape(-1, 3, 3)  # [k, b offset (0, -1, +1), z offset]
+        up = qs[:, 0, 0] >= q[live]
+        acc, rej = live[up], live[~up]
+        rb[rej] = 0.5 * np.abs(ta[rej] - a[rej]) * np.exp(z[rej])
+        rz[rej] = 0.5 * np.abs(tz[rej] - z[rej])
+        rb[acc] = np.minimum(2.0 * rb[acc], rb0[acc])
+        rz[acc] = np.minimum(2.0 * rz[acc], rz0[acc])
+        qa = qs[up]
+        a[acc], z[acc], q[acc] = ta[acc], tz[acc], qa[:, 0, 0]
+        grad[acc] = np.stack(
+            [qa[:, 2, 0] - qa[:, 1, 0], qa[:, 0, 2] - qa[:, 0, 1]], 1
+        ) / (2 * h)
+        hess[acc] = np.stack(
+            [
+                qa[:, 2, 0] - 2 * qa[:, 0, 0] + qa[:, 1, 0],
+                qa[:, 0, 2] - 2 * qa[:, 0, 0] + qa[:, 0, 1],
+                0.25 * (qa[:, 2, 2] - qa[:, 2, 1] - qa[:, 1, 2] + qa[:, 1, 1]),
+            ],
+            1,
+        ) / (h * h)
 
-def _cluster_1d(
-    cands: list[tuple[float, float]], tol: float
-) -> list[tuple[float, float]]:
-    """Merge (x, value) candidates closer than tol in x, keeping the best."""
-    out: list[tuple[float, float]] = []
-    for x, v in sorted(cands):
-        if out and x - out[-1][0] <= tol:
-            if v > out[-1][1]:
-                out[-1] = (x, v)
-        else:
-            out.append((x, v))
-    return out
+        (gb, gz), (hbb, hzz, hbz) = grad[live].T, hess[live].T
+        rbl, rzl = rb[live], rz[live]
+        det = hbb * hzz - hbz * hbz
+        newton = (hbb < 0) & (det > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Newton where the Hessian is negative definite, else a 1-D
+            # Newton step per coordinate, or the box edge uphill
+            db = np.where(
+                newton, (gz * hbz - gb * hzz) / det,
+                np.where(hbb < 0, -gb / hbb, np.copysign(np.inf, gb)),
+            )
+            dz = np.where(
+                newton, (gb * hbz - gz * hbb) / det,
+                np.where(hzz < 0, -gz / hzz, np.copysign(np.inf, gz)),
+            )
+            db[rbl == 0] = 0.0
+            # a Newton step is shrunk into the box whole, which keeps it an
+            # ascent direction; the per-coordinate steps are clipped
+            fit = np.fmin(1.0, np.fmin(rbl / np.abs(db), rzl / np.abs(dz)))
+        fit[~newton] = 1.0
+        db = np.clip(fit * db, -rbl, rbl)
+        ta[live] = a[live] + db * np.exp(-z[live])
+        tz[live] = np.clip(z[live] + np.clip(fit * dz, -rzl, rzl), z_lo, z_hi)
+        live = live[
+            (np.abs(db) > _POLISH_TOL) | (np.abs(tz[live] - z[live]) > _POLISH_TOL)
+        ]
+    return a, z, q
 
 
 def m_value(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> MOptimum:
     """Global maximum of (u, B_{x,mu}^(2*-1))^2 over admissible (x, mu).
 
-    Search domain for log mu: [log(min lambda_i) - 12, log(max lambda_i) + 12];
-    the algebraic decay of the pairing in the scale ratio keeps the supremum
-    interior for same-sign configurations.
+    The probe center runs along the axis of u's centers (for concentric u
+    any axis through the common center), its log scale over
+    [log(min lambda_i) - 12, log(max lambda_i) + 12].  The closed-form
+    objective is scanned on one grid, _Z_PER_UNIT points per unit of log
+    scale times an axial set: for same-sign concentric u the common center
+    alone, where symmetric-decreasing rearrangement puts the maximizer;
+    otherwise _AXIAL_PER_TERM points over each center +- _AXIAL_REACH widths
+    1/lambda_i and as many over the whole cloud.  Every grid point that no
+    neighbour exceeds is polished by trust-region Newton steps (_polish).
+    all_local_maxima lists the polished peaks, those closer than
+    _CLUSTER_TOL in both axial position (in probe widths) and log scale
+    merged to the best.
     """
     check_config(cfg)
-    amb = u.ambient
     geo = u.geometry
     if geo is Geometry.GENERAL:
         raise GeometryError("m_value requires concentric or collinear centers")
-    log_scales = sorted(math.log(t.scale) for t in u.terms)
-    lo = log_scales[0] - _LOG_DOMAIN_PAD
-    hi = log_scales[-1] + _LOG_DOMAIN_PAD
-    coeffs = [t.coeff for t in u.terms]
-    same_sign = all(c > 0 for c in coeffs) or all(c < 0 for c in coeffs)
-
-    if geo is Geometry.CONCENTRIC and same_sign:
-        x0 = u.terms[0].center
-        cls = [(t.coeff, t.scale) for t in u.terms]
-
-        def q(lm: float) -> float:
-            p = _pair_radial(amb, cls, math.exp(lm))
-            return p * p
-
-        starts = list(log_scales)
-        starts += [0.5 * (a + b) for a, b in zip(log_scales[:-1], log_scales[1:])]
-        cands = []
-        for s0 in sorted(set(starts)):
-            a, b = _expand_bracket(q, s0, 0.5, lo, hi)
-            cands.append(_golden_max(q, a, b, _GOLDEN_XTOL))
-        local = _cluster_1d(cands, _CLUSTER_TOL)
-        bubbles = [
-            (BubbleParam(1.0, x0, math.exp(lm)), v) for lm, v in local
-        ]
+    amb = u.ambient
+    p0, e, pos = _axis(u._centers())
+    coeffs = np.array([t.coeff for t in u.terms])
+    lams = np.array([t.scale for t in u.terms])
+    axial = (coeffs, pos, lams)
+    lo = math.log(lams.min()) - _LOG_DOMAIN_PAD
+    hi = math.log(lams.max()) + _LOG_DOMAIN_PAD
+    zs = np.linspace(lo, hi, math.ceil(_Z_PER_UNIT * (hi - lo)) + 1)
+    if geo is Geometry.CONCENTRIC and (all(coeffs > 0) or all(coeffs < 0)):
+        axis_pts = np.zeros(1)
     else:
-        from scipy import optimize  # only this branch needs it
+        reach = _AXIAL_REACH / lams
+        spans = list(zip(pos - reach, pos + reach))
+        spans.append(((pos - reach).min(), (pos + reach).max()))
+        axis_pts = np.unique(
+            np.concatenate([np.linspace(l, r, _AXIAL_PER_TERM) for l, r in spans])
+        )
+    grid = _pair_radial(amb, axial, axis_pts[:, None], zs)
+    ia, iz = np.nonzero(_grid_peaks(grid * grid))
+    # Trust box: one grid cell, and along the axis at least half a probe
+    # width, since a cell sized by the terms is tiny against a wide probe.
+    gaps = np.diff(axis_pts, prepend=axis_pts[0], append=axis_pts[-1])
+    cell = np.maximum(gaps[:-1], gaps[1:])[ia]
+    z0 = zs[iz]
+    rb = np.where(cell > 0, np.maximum(cell * np.exp(z0), 0.5), 0.0)
+    pa, pz, pv = _polish(
+        amb, axial, axis_pts[ia], z0, rb, np.full(len(ia), zs[1] - zs[0]), lo, hi
+    )
 
-        centers = u._centers()
-        p0, e, ts = _axis(centers)
-        axial = [(t.coeff, float(ts[i]), t.scale) for i, t in enumerate(u.terms)]
-
-        # Pairings go through the conformal invariant: the term at axial
-        # position t_i contributes c_i F(t_i) for the probe at (a, mu).
-        def q2(z: Sequence[float]) -> float:
-            a, lm = float(z[0]), float(z[1])
-            lm = min(max(lm, -700.0), 700.0)
-            mu = math.exp(lm)
-            cls = [
-                (c, _conformal_ratio(lam, mu, (ti - a) ** 2))
-                for c, ti, lam in axial
-            ]
-            p = _pair_radial(amb, cls, 1.0)
-            return p * p
-
-        cands2: list[tuple[float, float, float]] = []
-        best_failed = None
-        for i, t in enumerate(u.terms):
-            seed = np.array([ts[i], math.log(t.scale)])
-            res = optimize.minimize(
-                lambda z: -q2(z),
-                seed,
-                method="Nelder-Mead",
-                options=dict(xatol=1e-9, fatol=1e-13, maxiter=600, maxfev=900),
-            )
-            if not res.success:
-                res = optimize.minimize(
-                    lambda z: -q2(z),
-                    res.x,
-                    method="Nelder-Mead",
-                    options=dict(xatol=1e-9, fatol=1e-13, maxiter=2000, maxfev=3000),
-                )
-            if res.success:
-                cands2.append((float(res.x[0]), float(res.x[1]), -float(res.fun)))
-            else:
-                best_failed = (float(res.x[0]), float(res.x[1]), -float(res.fun))
-        if not cands2:
-            a, lm, v = best_failed
-            partial = MOptimum(
-                v,
-                BubbleParam(1.0, tuple(p0 + a * e), math.exp(lm)),
-                (),
-            )
-            raise OptimizerError(
-                "maximizer search did not converge from any start", best=partial
-            )
-        merged: list[tuple[float, float, float]] = []
-        for a, lm, v in sorted(cands2):
-            dup = False
-            for k, (am, lmm, vm) in enumerate(merged):
-                if abs(a - am) <= _CLUSTER_TOL and abs(lm - lmm) <= _CLUSTER_TOL:
-                    if v > vm:
-                        merged[k] = (a, lm, v)
-                    dup = True
-                    break
-            if not dup:
-                merged.append((a, lm, v))
-        bubbles = [
-            (BubbleParam(1.0, tuple(p0 + a * e), math.exp(lm)), v)
-            for a, lm, v in merged
-        ]
-
+    merged: list[tuple[float, float, float]] = []
+    for a, lm, v in sorted(zip(pa.tolist(), pz.tolist(), pv.tolist())):
+        for k, (am, lmm, vm) in enumerate(merged):
+            if (
+                abs(a - am) * math.exp(max(lm, lmm)) <= _CLUSTER_TOL
+                and abs(lm - lmm) <= _CLUSTER_TOL
+            ):
+                if v > vm:
+                    merged[k] = (a, lm, v)
+                break
+        else:
+            merged.append((a, lm, v))
+    bubbles = [
+        (BubbleParam(1.0, tuple(p0 + a * e), math.exp(lm)), v)
+        for a, lm, v in merged
+    ]
     bubbles.sort(key=lambda bv: (-bv[1], math.log(bv[0].scale)))
     best_value = bubbles[0][1]
     tied = [b for b, v in bubbles if v >= best_value - _TIE_TOL]

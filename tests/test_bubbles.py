@@ -10,6 +10,7 @@ from sobstab.bubbles import (
     BubbleParam,
     Geometry,
     Superposition,
+    _conformal_ratio,
     dilate,
     evaluate,
     hs_inner,
@@ -22,7 +23,6 @@ from sobstab.bubbles import (
 )
 from sobstab.constants import Ambient, sharp_constants
 from sobstab.errors import GeometryError, ParameterError, SchemaError
-from sobstab.functional import _conformal_ratio
 from sobstab.quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 AMB31 = Ambient(3, 1.0)

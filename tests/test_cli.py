@@ -310,9 +310,32 @@ class TestParser:
         assert exc.value.code == 2
 
 
+def _eval_probe(doc):
+    """Probe code that runs `eval` in-process on the superposition doc."""
+    return (
+        "import json, os, tempfile\nfrom sobstab.cli import main\n"
+        "with tempfile.NamedTemporaryFile('w', suffix='.json', delete=False) as fh:\n"
+        f"    json.dump({doc!r}, fh)\n"
+        "try:\n"
+        "    assert main(['eval', '--config', fh.name, '--out', os.devnull]) == 0\n"
+        "finally:\n    os.unlink(fh.name)"
+    )
+
+
+SIGNED_CONCENTRIC = {
+    "d": 3,
+    "s": 1.0,
+    "terms": [
+        {"coeff": 1.0, "center": [0.0, 0.0, 0.0], "lambda": 1.0},
+        {"coeff": -0.7, "center": [0.0, 0.0, 0.0], "lambda": 0.1},
+    ],
+}
+
+
 class TestImportCost:
-    """Only the Nelder-Mead branch of m_value needs scipy.optimize, so
-    importing the package and running a closed-form command must not load it."""
+    """No part of the toolkit needs scipy.optimize: neither importing the
+    package, nor a closed-form command, nor the m-search of `eval` on any
+    geometry may load it."""
 
     @pytest.mark.parametrize(
         "code",
@@ -321,8 +344,10 @@ class TestImportCost:
             "import runpy; sys.argv = ['sobstab', 'constants', '--d', '3', '--s', '1']\n"
             "try:\n    runpy.run_module('sobstab.cli', run_name='__main__')\n"
             "except SystemExit as exc:\n    assert exc.code == 0, exc.code",
+            _eval_probe(SIGNED_CONCENTRIC),
+            _eval_probe(COLLINEAR_PAIR),
         ],
-        ids=["import", "cli-constants"],
+        ids=["import", "cli-constants", "eval-signed-concentric", "eval-collinear"],
     )
     def test_scipy_optimize_not_loaded(self, code):
         src = str(Path(sobstab.__file__).resolve().parents[1])

@@ -94,16 +94,24 @@ class TestTwoBubbleConcentric:
 
     def test_maximizer_is_stationary(self):
         """Re-pairing the reported maximizer through the public path
-        reproduces sqrt(m) and nearby scales do not beat it."""
-        u = concentric(AMB31, (1.0, 1.0), (1.0, 0.01))
-        mopt = m_value(u)
-        b = mopt.maximizer
-        p = pair_against_bubble(u, b)
-        assert p * p == pytest.approx(mopt.value, rel=1e-10)
-        for bump in (0.999, 1.001):
-            nb = BubbleParam(1.0, b.center, b.scale * bump)
-            q = pair_against_bubble(u, nb)
-            assert q * q <= mopt.value * (1.0 + 1e-9)
+        reproduces sqrt(m) and nearby scales do not beat it, for a
+        concentric and a signed collinear pair."""
+        collinear = Superposition(
+            AMB31,
+            (
+                BubbleParam(1.0, (0.0, 0.0, 0.0), 1.0),
+                BubbleParam(-0.6, (1.5, 0.0, 0.0), 0.4),
+            ),
+        )
+        for u in (concentric(AMB31, (1.0, 1.0), (1.0, 0.01)), collinear):
+            mopt = m_value(u)
+            b = mopt.maximizer
+            p = pair_against_bubble(u, b)
+            assert p * p == pytest.approx(mopt.value, rel=1e-10)
+            for bump in (0.999, 1.001):
+                nb = BubbleParam(1.0, b.center, b.scale * bump)
+                q = pair_against_bubble(u, nb)
+                assert q * q <= mopt.value * (1.0 + 1e-9)
 
     def test_mixed_sign_concentric(self):
         u = concentric(AMB31, (1.0, 1.0), (-0.6, 25.0))
@@ -168,6 +176,102 @@ class TestCollinear:
         assert mopt.value == pytest.approx(1.0, rel=1e-8)
         assert np.linalg.norm(np.subtract(mopt.maximizer.center, (2, 2, 0))) < 1e-3
         assert mopt.maximizer.scale == pytest.approx(5.0, rel=1e-3)
+
+
+def _collinear_draws(d, count, seed):
+    """Seeded signed superpositions of 2 and 3 terms on the first axis: one
+    negative coefficient, magnitudes 10^U(-0.3, 0), offsets U(-3, 3),
+    scales 10^U(-1.5, 1.5)."""
+    rng = np.random.default_rng(seed)
+    amb = Ambient(d, 0.5 if d == 2 else 1.0)
+    out = []
+    for k in range(count):
+        n = 2 + k % 2
+        neg = rng.integers(n)
+        out.append(
+            Superposition(
+                amb,
+                tuple(
+                    BubbleParam(
+                        10.0 ** rng.uniform(-0.3, 0.0) * (-1.0 if i == neg else 1.0),
+                        (rng.uniform(-3.0, 3.0),) + (0.0,) * (d - 1),
+                        10.0 ** rng.uniform(-1.5, 1.5),
+                    )
+                    for i in range(n)
+                ),
+            )
+        )
+    return out
+
+
+_CONCENTRIC_PAIRS = (
+    ((1.0, 1.0), (1.0, 0.01)),
+    ((1.0, 1.0), (0.5, 20.0)),
+    ((1.0, 1.0), (-0.7, 0.1)),
+    ((1.0, 1.0), (-1.0, 0.7)),
+)
+
+
+def _search_corpus(count):
+    """count collinear draws per d in {2, 3, 5, 7}, plus same-sign and
+    signed concentric pairs at d = 3 and 5."""
+    cases = [
+        pytest.param(u, id=f"col-d{d}-{k}")
+        for d in (2, 3, 5, 7)
+        for k, u in enumerate(_collinear_draws(d, count, seed=d))
+    ]
+    cases += [
+        pytest.param(
+            concentric(Ambient(d, 1.0), *pairs),
+            id=f"conc-d{d}-{pairs[1][0]:g}@{pairs[1][1]:g}",
+        )
+        for d in (3, 5)
+        for pairs in _CONCENTRIC_PAIRS
+    ]
+    return cases
+
+
+def _squared_pairing(u, x, log_scale):
+    center = (x,) + (0.0,) * (u.ambient.d - 1)
+    p = pair_against_bubble(u, BubbleParam(1.0, center, math.exp(log_scale)))
+    return p * p
+
+
+class TestSearchOracle:
+    """m_value against the public pairing on probes the test chooses:
+    unit bubbles centered on the first axis, which carries every center."""
+
+    @pytest.mark.parametrize("u", _search_corpus(4))
+    def test_m_dominates_dense_grid(self, u):
+        """m is at least the best squared pairing over a grid unrelated to
+        the search's: 9 points over each center +- 3 widths and over the
+        cloud, log scales a third apart over [log lambda_min - 4,
+        log lambda_max + 4]."""
+        xs = np.array([t.center[0] for t in u.terms])
+        widths = np.array([1.0 / t.scale for t in u.terms])
+        spans = [(x - 3 * w, x + 3 * w) for x, w in zip(xs, widths)]
+        spans.append(((xs - 3 * widths).min(), (xs + 3 * widths).max()))
+        axis = np.concatenate([np.linspace(lo, hi, 9) for lo, hi in spans])
+        logs = -np.log(widths)
+        scales = np.arange(logs.min() - 4.0, logs.max() + 4.0, 1.0 / 3.0)
+        best = max(_squared_pairing(u, x, z) for x in axis for z in scales)
+        assert m_value(u).value >= (1.0 - 1e-12) * best
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_reported_maxima_are_local_maxima(self, d):
+        """No neighbour 1e-4 away in axial position (in widths of the
+        probe) or in log scale beats a reported local maximum, on 100
+        collinear draws per d and the concentric pairs."""
+        corpus = _collinear_draws(d, 100, seed=d)
+        if d in (3, 5):
+            corpus += [concentric(Ambient(d, 1.0), *p) for p in _CONCENTRIC_PAIRS]
+        for u in corpus:
+            for b, v in m_value(u).all_local_maxima:
+                x, z = b.center[0], math.log(b.scale)
+                for i in (-1, 0, 1):
+                    for j in (-1, 0, 1):
+                        q = _squared_pairing(u, x + i * 1e-4 / b.scale, z + j * 1e-4)
+                        assert q <= v * (1.0 + 1e-12), (u, b, i, j)
 
 
 class TestIdentities:
