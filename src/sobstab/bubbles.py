@@ -9,8 +9,8 @@ two bubbles and is evaluated in closed form, as a Gauss hypergeometric
 function (_pair_kernel).  The critical norm ||u||_{2*} has no closed form and
 is integrated by quadrature: radial for CONCENTRIC configurations (all
 centers coincide), axisymmetric for COLLINEAR ones (all centers on one line;
-a split real-line integral for d = 1).  Pairings and norms reject GENERAL
-center clouds alike.
+a split real-line integral for d = 1).  The pairings hold for any centers;
+lp_norm rejects GENERAL center clouds.
 """
 
 from __future__ import annotations
@@ -263,15 +263,9 @@ def _pair_kernel(amb: Ambient, t) -> np.ndarray:
 def _pairings(
     amb: Ambient, us: tuple[BubbleParam, ...], vs: tuple[BubbleParam, ...]
 ) -> np.ndarray:
-    """Matrix (B_i, B_j^(2*-1)) of the unit-coefficient bubbles of us and vs.
-
-    Raises GeometryError unless all their centers together are concentric
-    or collinear.
-    """
+    """Matrix (B_i, B_j^(2*-1)) of the unit-coefficient bubbles of us and vs."""
     terms = us + vs
     centers = np.array([b.center for b in terms])
-    if _classify(centers) is Geometry.GENERAL:
-        raise GeometryError("combined centers are neither concentric nor collinear")
     scales = np.array([b.scale for b in terms])
     n = len(us)
     r2 = np.square(centers[:n, None] - centers[n:]).sum(axis=-1)
@@ -312,16 +306,11 @@ def _axial_brackets(positions_scales: Sequence[tuple[float, float]]) -> list[flo
     return knots
 
 
-def pair_against_bubble(
-    u: Superposition, h: BubbleParam, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def pair_against_bubble(u: Superposition, h: BubbleParam) -> float:
     """The pairing (u, h^(2*-1)) = integral of u * h^(2*-1) over R^d,
-    for a unit-coefficient bubble h: sum_i c_i F(t_i).
-
-    The closed form needs no quadrature, so cfg is only validated.
-    Requires u's centers together with h's to be concentric or collinear.
+    for a unit-coefficient bubble h: sum_i c_i F(t_i), in closed form for
+    any centers.
     """
-    check_config(cfg)
     if h.coeff != 1.0:
         raise ParameterError("pair_against_bubble expects a unit-coefficient h")
     if len(h.center) != u.ambient.d:
@@ -330,17 +319,11 @@ def pair_against_bubble(
     return math.fsum(coeffs * _pairings(u.ambient, u.terms, (h,))[:, 0])
 
 
-def hs_inner(
-    u: Superposition, v: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
-    """H^s inner product via the eigenvalue identity:
+def hs_inner(u: Superposition, v: Superposition) -> float:
+    """H^s inner product via the eigenvalue identity, for any centers:
 
         <sum c_i B_i, sum e_j B_j> = S_d * sum_ij c_i e_j F(t_ij).
-
-    The closed form needs no quadrature, so cfg is only validated.
-    Requires the union of all centers to be concentric or collinear.
     """
-    check_config(cfg)
     if u.ambient != v.ambient:
         raise ParameterError("superpositions live in different ambients")
     cu = np.array([t.coeff for t in u.terms])
@@ -349,9 +332,9 @@ def hs_inner(
     return sharp_constants(u.ambient).S_d * math.fsum((cu[:, None] * cv * k).ravel())
 
 
-def hs_norm_sq(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def hs_norm_sq(u: Superposition) -> float:
     """Squared H^s seminorm ||(-Delta)^(s/2) u||_2^2."""
-    return hs_inner(u, u, cfg)
+    return hs_inner(u, u)
 
 
 def lp_norm(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -386,7 +369,7 @@ def lp_norm(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
             )
 
         knots = [-ll for _, ll in log_lams]
-        res = integrate_real_line(f, cfg, knots=knots, vectorized=True)
+        res = integrate_real_line(f, cfg, knots=knots)
         total = sphere_area(amb.d) * res.value
         return total ** (1.0 / two_star)
 
@@ -405,7 +388,7 @@ def lp_norm(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
                 acc += c * lam**bexp * (1.0 + z * z) ** (-bexp)
             return np.abs(cst.c_d * acc) ** two_star
 
-        res = integrate_real_line(f1, cfg, knots=knots_ax, vectorized=True)
+        res = integrate_real_line(f1, cfg, knots=knots_ax)
         return res.value ** (1.0 / two_star)
 
     def f(t: float, rhos: np.ndarray) -> np.ndarray:

@@ -122,6 +122,19 @@ def _csv_doc(prov: dict[str, Any], header: str, rows: list[list[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit_nonconvergence(
+    exc: QuadratureNonConvergence, amb: Ambient, cfg: QuadratureConfig,
+    out: str | None,
+) -> int:
+    """Write the uncertified error document of a failed quadrature; exit 3."""
+    doc = {
+        "provenance": _provenance(amb, cfg, certified=False),
+        "error": f"{type(exc).__name__}: {exc}",
+    }
+    _emit(_json_doc(doc), out)
+    return 3
+
+
 def _bubble_dict(b: BubbleParam) -> dict[str, Any]:
     return {"coeff": b.coeff, "center": list(b.center), "lambda": b.scale}
 
@@ -253,12 +266,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     try:
         payload = _functional_payload(u, cfg)
     except QuadratureNonConvergence as exc:
-        doc = {
-            "provenance": _provenance(u.ambient, cfg, certified=False),
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-        _emit(_json_doc(doc), args.out)
-        return 3
+        return _emit_nonconvergence(exc, u.ambient, cfg, args.out)
     payload["provenance"] = _provenance(u.ambient, cfg)
     _emit(_json_doc(payload), args.out)
     return 0
@@ -270,12 +278,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     try:
         rep = functional_report(u, cfg)
     except QuadratureNonConvergence as exc:
-        doc = {
-            "provenance": _provenance(u.ambient, cfg, certified=False),
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-        _emit(_json_doc(doc), args.out)
-        return 3
+        return _emit_nonconvergence(exc, u.ambient, cfg, args.out)
     payload = {
         "provenance": _provenance(u.ambient, cfg),
         "hs_norm_sq": rep.hs_norm_sq,
@@ -320,12 +323,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     try:
         points = [sweep_point(lam, amb, cfg) for lam in grid]
     except QuadratureNonConvergence as exc:
-        doc = {
-            "provenance": _provenance(amb, cfg, certified=False),
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-        _emit(_json_doc(doc), args.out)
-        return 3
+        return _emit_nonconvergence(exc, amb, cfg, args.out)
     report = assemble_report(amb, points, cfg)
     prov = _provenance(amb, cfg)
     if args.format == "json":

@@ -59,32 +59,24 @@ def _origin_superposition(amb: Ambient, scale: float) -> Superposition:
     return Superposition(amb, (_unit_bubble(amb, scale),))
 
 
-def F_of(mu: float, amb: Ambient, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def F_of(mu: float, amb: Ambient) -> float:
     """F(mu) = (B, B_mu^(2*-1)), the concentric pairing at scale ratio mu."""
     if not mu > 0.0:
         raise ParameterError(f"mu must be > 0, got {mu}")
-    return pair_against_bubble(
-        _origin_superposition(amb, 1.0), _unit_bubble(amb, mu), cfg
-    )
+    return pair_against_bubble(_origin_superposition(amb, 1.0), _unit_bubble(amb, mu))
 
 
-def G_of(
-    lam: float, mu: float, amb: Ambient, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def G_of(lam: float, mu: float, amb: Ambient) -> float:
     """G_lambda(mu) = (B_lambda, B_mu^(2*-1))."""
     if not (lam > 0.0 and mu > 0.0):
         raise ParameterError("lambda and mu must be > 0")
-    return pair_against_bubble(
-        _origin_superposition(amb, lam), _unit_bubble(amb, mu), cfg
-    )
+    return pair_against_bubble(_origin_superposition(amb, lam), _unit_bubble(amb, mu))
 
 
-def H_of(
-    lam: float, mu: float, amb: Ambient, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def H_of(lam: float, mu: float, amb: Ambient) -> float:
     """H_lambda(mu) = (u_lambda, B_mu^(2*-1)) = F(mu) + G_lambda(mu),
     assembled by linearity of the pairing."""
-    return F_of(mu, amb, cfg) + G_of(lam, mu, amb, cfg)
+    return F_of(mu, amb) + G_of(lam, mu, amb)
 
 
 @dataclass(frozen=True)
@@ -134,10 +126,7 @@ class DerivativeCheck:
 
 
 def derivative_check(
-    amb: Ambient,
-    lam: float = 1e-6,
-    h_fd: float = 1e-4,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    amb: Ambient, lam: float = 1e-6, h_fd: float = 1e-4
 ) -> DerivativeCheck:
     """Central finite differences of the closed-form F and G at mu = 1,
     compared to the closed forms a_d, b_d, c0.
@@ -154,23 +143,23 @@ def derivative_check(
     lam_pow = lam**amb.beta_exp
 
     def stencil(h: float) -> tuple[float, float]:
-        fp = F_of(1.0 + h, amb, cfg)
-        fm = F_of(1.0 - h, amb, cfg)
-        f1 = F_of(1.0, amb, cfg)
+        fp = F_of(1.0 + h, amb)
+        fm = F_of(1.0 - h, amb)
+        f1 = F_of(1.0, amb)
         first = (fp - fm) / (2.0 * h) / factor
         second = (fp - 2.0 * f1 + fm) / (h * h) / factor
         return first, second
 
     def g_stencil(h: float) -> float:
-        gp = G_of(lam, 1.0 + h, amb, cfg)
-        gm = G_of(lam, 1.0 - h, amb, cfg)
+        gp = G_of(lam, 1.0 + h, amb)
+        gm = G_of(lam, 1.0 - h, amb)
         return (gp - gm) / (2.0 * h) / factor / lam_pow
 
     f_prime, f_second = stencil(h_fd)
     f_prime_half, f_second_half = stencil(0.5 * h_fd)
     g_prime_scaled = g_stencil(h_fd)
     g_prime_scaled_half = g_stencil(0.5 * h_fd)
-    g_value_scaled = G_of(lam, 1.0, amb, cfg) / lam_pow
+    g_value_scaled = G_of(lam, 1.0, amb) / lam_pow
 
     return DerivativeCheck(
         ambient=amb,

@@ -34,7 +34,7 @@ from .bubbles import (
 )
 from .constants import sharp_constants
 from .errors import GeometryError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, check_config
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 __all__ = [
     "MOptimum",
@@ -186,7 +186,7 @@ def _polish(
     return a, z, q
 
 
-def m_value(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> MOptimum:
+def m_value(u: Superposition) -> MOptimum:
     """Global maximum of (u, B_{x,mu}^(2*-1))^2 over admissible (x, mu).
 
     The probe center runs along the axis of u's centers (for concentric u
@@ -202,7 +202,6 @@ def m_value(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> MOptimu
     _CLUSTER_TOL in both axial position (in probe widths) and log scale
     merged to the best.
     """
-    check_config(cfg)
     geo = u.geometry
     if geo is Geometry.GENERAL:
         raise GeometryError("m_value requires concentric or collinear centers")
@@ -258,12 +257,11 @@ def m_value(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> MOptimu
     return MOptimum(best_value, maximizer, tuple(bubbles))
 
 
-def dist_sq(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def dist_sq(u: Superposition) -> float:
     """Squared H^s distance to the manifold: hs_norm_sq - S_d * m(u),
-    clamped at 0 when the subtraction lands within quadrature noise of 0."""
-    hs = hs_norm_sq(u, cfg)
-    mopt = m_value(u, cfg)
-    return _dist_sq_from(u, hs, mopt)
+    clamped at 0 when the rounding of its closed-form terms takes the
+    difference below 0."""
+    return _dist_sq_from(u, hs_norm_sq(u), m_value(u))
 
 
 def _dist_sq_from(u: Superposition, hs: float, mopt: MOptimum) -> float:
@@ -274,7 +272,7 @@ def _dist_sq_from(u: Superposition, hs: float, mopt: MOptimum) -> float:
 def sobolev_quotient(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """S(u) = hs_norm_sq / lp_norm^2; always >= S_d up to quadrature noise."""
     lp = lp_norm(u, cfg)
-    return hs_norm_sq(u, cfg) / (lp * lp)
+    return hs_norm_sq(u) / (lp * lp)
 
 
 def be_quotient(
@@ -292,9 +290,9 @@ def functional_report(
     """All functional-level quantities of u in one pass."""
     amb = u.ambient
     cst = sharp_constants(amb)
-    hs = hs_norm_sq(u, cfg)
+    hs = hs_norm_sq(u)
     lp = lp_norm(u, cfg)
-    mopt = m_value(u, cfg)
+    mopt = m_value(u)
     d2 = _dist_sq_from(u, hs, mopt)
     sob = hs / (lp * lp)
     if d2 < ON_MANIFOLD_REL_TOL * hs:

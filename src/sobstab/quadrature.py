@@ -16,11 +16,11 @@ would have alone, so its result does not depend on the batch.  The half-line
 and real-line integrators are batches of one; the axisymmetric integrator
 runs the radial integrals at the nodes of each axial panel as one batch.
 
-Half-line and real-line integrands may be written either as scalar functions
-or as numpy-vectorized functions of a 1-D ndarray; the engine detects which
-on the first call.  Multi-scale integrands (superpositions of bubbles at
-scales lambda_i) should pass the characteristic radii through ``knots`` so
-the initial panels already separate the scales.
+Half-line and real-line integrands are numpy-vectorized: each call receives
+a 1-D ndarray of nodes and must return an array of the same shape.
+Multi-scale integrands (superpositions of bubbles at scales lambda_i) should
+pass the characteristic radii through ``knots`` so the initial panels already
+separate the scales.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ class QuadratureConfig:
     max_subdivisions: int = 30
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ParameterError("rel_tol and abs_tol must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ParameterError("rel_tol and abs_tol must be positive and finite")
         if self.max_subdivisions < 1:
             raise ParameterError("max_subdivisions must be >= 1")
 
@@ -117,35 +117,18 @@ class QuadratureResult:
     evaluations: int
 
 
-class _Integrand:
-    """Wraps a user integrand; resolves scalar vs vectorized on first use."""
-
-    def __init__(self, f: Callable, vectorized: bool | None = None):
-        self._f = f
-        self._vectorized = vectorized
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        if self._vectorized is None:
-            try:
-                out = np.asarray(self._f(xs), dtype=float)
-                if out.shape == xs.shape:
-                    self._vectorized = True
-                    return out
-            except (TypeError, ValueError):
-                pass
-            self._vectorized = False
-        if self._vectorized:
-            return np.asarray(self._f(xs), dtype=float)
-        return np.fromiter(
-            (float(self._f(x)) for x in xs), dtype=float, count=len(xs)
-        )
-
-
-def _flat(fw: _Integrand) -> Callable:
-    """Lift a 1-D integrand to the engine's (rows, xs) contract."""
+def _lift(f: Callable) -> Callable:
+    """Lift a vectorized 1-D integrand to the engine's (rows, xs) contract."""
 
     def g(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        return fw(xs.ravel()).reshape(xs.shape)
+        nodes = xs.ravel()
+        out = np.asarray(f(nodes), dtype=float)
+        if out.shape != nodes.shape:
+            raise ParameterError(
+                f"integrand returned shape {out.shape} for nodes of shape "
+                f"{nodes.shape}; it must be vectorized over a 1-D array"
+            )
+        return out.reshape(xs.shape)
 
     return g
 
@@ -327,17 +310,18 @@ def integrate_half_line(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
     knots: Iterable[float] | None = None,
-    vectorized: bool | None = None,
 ) -> QuadratureResult:
     """Integrate f over (0, inf) under the substitution r = t/(1-t).
 
-    ``knots`` lists characteristic radii at which initial panels are split;
-    pass the turnover scales of a multi-scale integrand to keep refinement
-    shallow.  Raises QuadratureNonConvergence (carrying the best estimate)
-    if the tolerance cannot be met within the subdivision budget.
+    f takes a 1-D ndarray of radii and returns an array of the same shape;
+    any other shape raises ParameterError.  ``knots`` lists characteristic
+    radii at which initial panels are split; pass the turnover scales of a
+    multi-scale integrand to keep refinement shallow.  Raises
+    QuadratureNonConvergence (carrying the best estimate) if the tolerance
+    cannot be met within the subdivision budget.
     """
-    g = _flat(_Integrand(f, vectorized))
-    return _integrate_segments(_half_line_segments(g, _half_line_breaks(knots)), cfg)[0]
+    segments = _half_line_segments(_lift(f), _half_line_breaks(knots))
+    return _integrate_segments(segments, cfg)[0]
 
 
 def integrate_real_line(
@@ -345,18 +329,18 @@ def integrate_real_line(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
     knots: Sequence[float],
-    vectorized: bool | None = None,
 ) -> QuadratureResult:
     """Integrate f over the whole real line.
 
-    ``knots`` (required, nonempty) are finite breakpoints -- typically the
-    centers of the bubbles involved; the two tails beyond the extreme knots
-    are compactified algebraically.
+    f takes a 1-D ndarray of points and returns an array of the same shape;
+    any other shape raises ParameterError.  ``knots`` (required, nonempty)
+    are finite breakpoints -- typically the centers of the bubbles involved;
+    the two tails beyond the extreme knots are compactified algebraically.
     """
     ks = sorted({float(k) for k in knots})
     if not ks or not all(math.isfinite(k) for k in ks):
         raise ParameterError("integrate_real_line requires finite, nonempty knots")
-    g = _flat(_Integrand(f, vectorized))
+    g = _lift(f)
     lo, hi = ks[0], ks[-1]
 
     def g_left(rows: np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -425,7 +409,7 @@ def integrate_axisymmetric(
         inner_evals += sum(r.evaluations for r in inner)
         return np.array([r.value for r in inner])
 
-    outer = integrate_real_line(profile, cfg, knots=axial_knots, vectorized=True)
+    outer = integrate_real_line(profile, cfg, knots=axial_knots)
     area = sphere_area(amb.d - 1)
     return QuadratureResult(
         area * outer.value,

@@ -23,7 +23,6 @@ from sobstab.bubbles import (
 )
 from sobstab.constants import Ambient, sharp_constants
 from sobstab.errors import GeometryError, ParameterError, SchemaError
-from sobstab.quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 AMB31 = Ambient(3, 1.0)
 ORIGIN3 = (0.0, 0.0, 0.0)
@@ -102,20 +101,6 @@ class TestGeometry:
         )
         with pytest.raises(GeometryError):
             lp_norm(u)
-        with pytest.raises(GeometryError):
-            hs_norm_sq(u)
-
-    def test_offline_probe_bubble_rejected(self):
-        u = Superposition(
-            AMB31,
-            (
-                BubbleParam(1.0, (0.0, 0.0, 0.0), 1.0),
-                BubbleParam(1.0, (1.0, 0.0, 0.0), 1.0),
-            ),
-        )
-        h = BubbleParam(1.0, (0.0, 1.0, 0.0), 1.0)
-        with pytest.raises(GeometryError):
-            pair_against_bubble(u, h)
 
 
 class TestEvaluate:
@@ -465,32 +450,10 @@ class TestSchema:
             superposition_from_dict({"d": 3})
 
 
-class TestQuadratureConfigThreading:
-    def test_loose_config_changes_cost_not_value_much(self):
-        loose = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)
-        u = Superposition(
-            AMB31,
-            (BubbleParam(1.0, ORIGIN3, 1.0), BubbleParam(1.0, ORIGIN3, 10.0)),
-        )
-        a = hs_norm_sq(u, loose)
-        b = hs_norm_sq(u, DEFAULT_CONFIG)
-        assert a == pytest.approx(b, rel=1e-5)
-
-
 class TestConfigValidation:
-    """The closed-form pairings never touch the quadrature config, so each
-    public entry point checks its type itself."""
+    """lp_norm is the one bubble quantity that takes a quadrature config."""
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda u, cfg: pair_against_bubble(u, BubbleParam(1.0, ORIGIN3, 2.0), cfg),
-            lambda u, cfg: hs_inner(u, u, cfg),
-            lambda u, cfg: hs_norm_sq(u, cfg),
-            lambda u, cfg: lp_norm(u, cfg),
-        ],
-        ids=["pair_against_bubble", "hs_inner", "hs_norm_sq", "lp_norm"],
-    )
+    @pytest.mark.parametrize("call", [lp_norm], ids=["lp_norm"])
     def test_bad_config_is_parameter_error(self, call):
         with pytest.raises(ParameterError):
             call(single(AMB31), "not a config")

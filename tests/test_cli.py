@@ -153,6 +153,14 @@ class TestEval:
         assert rc == 2
         assert "terms[0]" in err
 
+    def test_nonfinite_tolerance_is_exit_2(self, capsys, tmp_path):
+        """An infinite rel_tol would accept the first, unrefined estimate."""
+        cfgp = write_config(tmp_path, PAIR)
+        rc, out, err = run(capsys, "eval", "--config", cfgp, "--rel-tol", "inf")
+        assert rc == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_unreachable_tolerance_is_exit_3_not_certified(self, capsys, tmp_path):
         cfgp = write_config(tmp_path, PAIR)
         rc, out, err = run(

@@ -126,6 +126,12 @@ CONFIGS = [
     # d = 1, fractional s
     (1, 0.25, [(1.0, (0.0,), 1.0), (1.0, (3.0,), 2.0), (-0.4, (-1.0,), 0.2)]),
     (4, 1.3, [(2.0, (0.0, 0.0, 0.0, 0.0), 1.0), (1.0, (0.0, 0.0, 0.0, 5.0), 0.1)]),
+    # GENERAL: three centers spanning a plane, mixed signs and scales
+    (3, 1.0, [
+        (1.0, (0.0, 0.0, 0.0), 1.0),
+        (-0.7, (1.0, 0.0, 0.0), 0.3),
+        (0.5, (0.0, 1.0, 0.0), 2.5),
+    ]),
 ]
 
 
@@ -139,7 +145,7 @@ def test_hs_norm_sq_matches_oracle(d, s, terms):
 
 @pytest.mark.parametrize("d, s, terms", CONFIGS)
 def test_pair_against_bubble_matches_oracle(d, s, terms):
-    """Probe on the same line as the terms, between the first two centers."""
+    """Probe between the first two centers."""
     amb = Ambient(d, s)
     u = Superposition(amb, tuple(BubbleParam(c, x, lam) for c, x, lam in terms))
     center = tuple(0.3 * p + 0.7 * q for p, q in zip(terms[0][1], terms[1][1]))

@@ -37,6 +37,8 @@ class TestConfig:
             dict(rel_tol=0.0),
             dict(abs_tol=-1e-3),
             dict(max_subdivisions=0),
+            dict(rel_tol=math.inf),
+            dict(abs_tol=math.nan),
         ],
     )
     def test_validation(self, kwargs):
@@ -50,32 +52,20 @@ class TestHalfLine:
         [(0.0, 1.0), (2.0, 3.0), (1.0, 1.5), (4.0, 4.0), (0.5, 2.25)],
     )
     def test_beta_integrands(self, p, q):
-        res = integrate_half_line(
-            lambda r: r**p * (1.0 + r * r) ** (-q), TIGHT, vectorized=True
-        )
+        res = integrate_half_line(lambda r: r**p * (1.0 + r * r) ** (-q), TIGHT)
         assert res.value == pytest.approx(beta_half_line(p, q), rel=1e-11)
 
     def test_exponential(self):
-        res = integrate_half_line(lambda r: np.exp(-r), TIGHT, vectorized=True)
+        res = integrate_half_line(lambda r: np.exp(-r), TIGHT)
         assert res.value == pytest.approx(1.0, rel=1e-12)
 
-    def test_scalar_integrand_detected(self):
-        def f(r):
-            if isinstance(r, np.ndarray):
-                raise TypeError("scalar only")
-            return math.exp(-r * r)
-
-        res = integrate_half_line(f, TIGHT)
-        assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-11)
-
-    def test_vectorized_and_scalar_agree(self):
-        fv = integrate_half_line(
-            lambda r: (1.0 + r * r) ** (-2.0), TIGHT, vectorized=True
-        )
-        fs = integrate_half_line(
-            lambda r: (1.0 + float(r) ** 2) ** (-2.0), TIGHT, vectorized=False
-        )
-        assert fv.value == pytest.approx(fs.value, rel=1e-13)
+    @pytest.mark.parametrize(
+        "f", [lambda r: 1.0, lambda r: r.sum()], ids=["constant", "reduction"]
+    )
+    def test_wrong_shape_integrand_rejected(self, f):
+        """The error names both shapes: two initial panels of 15 nodes."""
+        with pytest.raises(ParameterError, match=r"shape \(\) for nodes .* \(30,\)"):
+            integrate_half_line(f, TIGHT)
 
     @pytest.mark.parametrize("lam", [1e-6, 1e-3, 1.0, 1e3, 1e6])
     def test_scale_invariance_with_knots(self, lam):
@@ -85,7 +75,6 @@ class TestHalfLine:
             lambda r: lam * (1.0 + (lam * r) ** 2) ** (-1.5),
             TIGHT,
             knots=[1.0 / lam],
-            vectorized=True,
         )
         assert res.value == pytest.approx(beta_half_line(0.0, 1.5), rel=1e-10)
 
@@ -101,7 +90,6 @@ class TestHalfLine:
             res = integrate_half_line(
                 lambda r, p=p, q=q: r**p * (1.0 + r * r) ** (-q),
                 DEFAULT_CONFIG,
-                vectorized=True,
             )
             true_err = abs(res.value - exact)
             budget = 10.0 * res.error_estimate + 1e-13 * abs(exact)
@@ -111,27 +99,21 @@ class TestHalfLine:
     def test_nonconvergence_carries_best_estimate(self):
         cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=2)
         with pytest.raises(QuadratureNonConvergence) as exc:
-            integrate_half_line(
-                lambda r: (1.0 + r * r) ** (-1.2345), cfg, vectorized=True
-            )
+            integrate_half_line(lambda r: (1.0 + r * r) ** (-1.2345), cfg)
         best = exc.value.best
         assert isinstance(best, QuadratureResult)
         assert best.value == pytest.approx(beta_half_line(0.0, 1.2345), rel=1e-3)
 
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(ParameterError, match="non-finite"):
-            integrate_half_line(
-                lambda r: np.where(r > 1.0, np.nan, np.exp(-r)),
-                TIGHT,
-                vectorized=True,
-            )
+            integrate_half_line(lambda r: np.where(r > 1.0, np.nan, np.exp(-r)), TIGHT)
 
     def test_divergent_integrand_fails_honestly(self):
         """1/r is finite at every interior node; the divergence must surface
         as non-convergence with a huge error estimate, never as a value."""
         small = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=4)
         with pytest.raises(QuadratureNonConvergence) as exc:
-            integrate_half_line(lambda r: 1.0 / r, small, vectorized=True)
+            integrate_half_line(lambda r: 1.0 / r, small)
         best = exc.value.best
         assert best is not None
         assert best.error_estimate > 1e-3 * abs(best.value)
@@ -139,9 +121,7 @@ class TestHalfLine:
 
 class TestRealLine:
     def test_gaussian(self):
-        res = integrate_real_line(
-            lambda x: np.exp(-x * x), TIGHT, knots=[0.0], vectorized=True
-        )
+        res = integrate_real_line(lambda x: np.exp(-x * x), TIGHT, knots=[0.0])
         assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
     def test_shifted_lorentzian_with_knot(self):
@@ -149,7 +129,6 @@ class TestRealLine:
             lambda x: 1.0 / (1.0 + (x - 50.0) ** 2),
             TIGHT,
             knots=[0.0, 50.0],
-            vectorized=True,
         )
         assert res.value == pytest.approx(math.pi, rel=1e-11)
 
@@ -160,7 +139,7 @@ class TestRealLine:
         def f(v):
             return np.exp(-((v + 15.0) ** 2)) + np.exp(-((v - 15.0) ** 2))
 
-        res = integrate_real_line(f, TIGHT, knots=[-15.0, 15.0], vectorized=True)
+        res = integrate_real_line(f, TIGHT, knots=[-15.0, 15.0])
         assert res.value == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-11)
 
     def test_requires_knots(self):
@@ -174,7 +153,6 @@ class TestRealLine:
             lambda x: np.exp(-(((x - shift) / width) ** 2)) / width,
             QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12),
             knots=[shift],
-            vectorized=True,
         )
         assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-8)
 
@@ -196,9 +174,7 @@ class TestAxisymmetric:
 
         res = integrate_axisymmetric(f, amb, DEFAULT_CONFIG)
         radial = integrate_half_line(
-            lambda r: r ** (d - 1) * (1.0 + r * r) ** (-power),
-            TIGHT,
-            vectorized=True,
+            lambda r: r ** (d - 1) * (1.0 + r * r) ** (-power), TIGHT
         )
         expected = sphere_area(d) * radial.value
         assert res.value == pytest.approx(expected, rel=1e-8)
@@ -239,9 +215,9 @@ class TestAxisymmetric:
 
 def _nested_reference(f, amb, cfg, axial_knots=(0.0,), radial_knots=None):
     """The axisymmetric integral from the public one-dimensional integrators:
-    a scalar outer integrate_real_line whose integrand at each axial node t
-    is one integrate_half_line at 10x tighter tolerance.  Returns the value
-    and the total number of integrand evaluations."""
+    an outer integrate_real_line whose integrand loops over the axial nodes,
+    running one integrate_half_line at 10x tighter tolerance per node t.
+    Returns the value and the total number of integrand evaluations."""
     inner_cfg = QuadratureConfig(
         rel_tol=cfg.rel_tol * 0.1,
         abs_tol=cfg.abs_tol * 0.1,
@@ -252,15 +228,14 @@ def _nested_reference(f, amb, cfg, axial_knots=(0.0,), radial_knots=None):
 
     def profile(t):
         res = integrate_half_line(
-            lambda rhos: f(t, rhos) * rhos**w,
-            inner_cfg,
-            knots=radial_knots,
-            vectorized=True,
+            lambda rhos: f(t, rhos) * rhos**w, inner_cfg, knots=radial_knots
         )
         inner_evals.append(res.evaluations)
         return res.value
 
-    outer = integrate_real_line(profile, cfg, knots=axial_knots, vectorized=False)
+    outer = integrate_real_line(
+        lambda ts: np.array([profile(t) for t in ts]), cfg, knots=axial_knots
+    )
     value = sphere_area(amb.d - 1) * outer.value
     return value, outer.evaluations + sum(inner_evals)
 
@@ -316,8 +291,8 @@ class TestDeterminism:
         def f(r):
             return r**2 * (1.0 + r * r) ** (-3.0)
 
-        r1 = integrate_half_line(f, DEFAULT_CONFIG, knots=[1.0], vectorized=True)
-        r2 = integrate_half_line(f, DEFAULT_CONFIG, knots=[1.0], vectorized=True)
+        r1 = integrate_half_line(f, DEFAULT_CONFIG, knots=[1.0])
+        r2 = integrate_half_line(f, DEFAULT_CONFIG, knots=[1.0])
         assert r1.value == r2.value
         assert r1.error_estimate == r2.error_estimate
         assert r1.evaluations == r2.evaluations
@@ -388,7 +363,7 @@ class TestExactRule:
     def test_half_line_matches_exact_rule(self, f, cfg, knots):
         expected = _exact_rule_reference(f, cfg, knots)
         try:
-            res = integrate_half_line(f, cfg, knots=knots, vectorized=True)
+            res = integrate_half_line(f, cfg, knots=knots)
         except QuadratureNonConvergence as exc:
             res = exc.best
         assert res == expected
