@@ -16,6 +16,7 @@ lp_norm rejects GENERAL center clouds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -414,6 +415,16 @@ def lp_norm(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _is_finite_number(x: object) -> bool:
+    """A JSON number in the finite float range: not NaN or +-Infinity, which
+    json accepts, nor an integer too large to convert."""
+    return (
+        isinstance(x, (int, float))
+        and not isinstance(x, bool)
+        and -sys.float_info.max <= x <= sys.float_info.max
+    )
+
+
 def superposition_from_dict(doc: dict) -> Superposition:
     """Build a Superposition from the JSON schema
 
@@ -431,8 +442,8 @@ def superposition_from_dict(doc: dict) -> Superposition:
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise SchemaError(f"d: expected a positive integer, got {d!r}")
     s = doc["s"]
-    if not isinstance(s, (int, float)) or isinstance(s, bool):
-        raise SchemaError(f"s: expected a number, got {s!r}")
+    if not _is_finite_number(s):
+        raise SchemaError(f"s: expected a finite number, got {s!r}")
     if not 0.0 < float(s) < d / 2.0:
         raise SchemaError(f"s: must satisfy 0 < s < d/2 = {d / 2.0}, got {s}")
     amb = Ambient(d, float(s))
@@ -447,24 +458,18 @@ def superposition_from_dict(doc: dict) -> Superposition:
             if field not in rt:
                 raise SchemaError(f"terms[{i}].{field}: missing")
         coeff = rt["coeff"]
-        if not isinstance(coeff, (int, float)) or isinstance(coeff, bool) or coeff == 0:
-            raise SchemaError(f"terms[{i}].coeff: expected a nonzero number")
+        if not _is_finite_number(coeff) or coeff == 0:
+            raise SchemaError(f"terms[{i}].coeff: expected a finite nonzero number")
         center = rt["center"]
-        if not isinstance(center, list) or not all(
-            isinstance(c, (int, float)) and not isinstance(c, bool) for c in center
-        ):
-            raise SchemaError(f"terms[{i}].center: expected an array of numbers")
+        if not isinstance(center, list) or not all(map(_is_finite_number, center)):
+            raise SchemaError(f"terms[{i}].center: expected an array of finite numbers")
         if len(center) != d:
             raise SchemaError(
                 f"terms[{i}].center: length {len(center)} does not match d = {d}"
             )
         lam = rt["lambda"]
-        if (
-            not isinstance(lam, (int, float))
-            or isinstance(lam, bool)
-            or not float(lam) > 0.0
-        ):
-            raise SchemaError(f"terms[{i}].lambda: expected a number > 0")
+        if not _is_finite_number(lam) or not lam > 0:
+            raise SchemaError(f"terms[{i}].lambda: expected a finite number > 0")
         terms.append(BubbleParam(float(coeff), tuple(center), float(lam)))
     return Superposition(amb, tuple(terms))
 

@@ -1,17 +1,19 @@
 """Batch command-line front end.
 
 Subcommands: constants, thresholds, crossover, eval, dist, expand,
-sweep-grid.  Reports are deterministic for a fixed configuration: floats are
-rendered by shortest round-trip repr (at most 17 significant digits), CSV
-uses '\\n' line endings, and JSON keys are sorted.  Every output embeds a
-provenance header (toolkit version, ambient, tolerances) together with a
-note that reported quotients are empirical values and upper bounds only.
+sweep-grid.  The handlers only format what the library computes.  Reports
+are deterministic for a fixed configuration: floats are rendered by shortest
+round-trip repr (at most 17 significant digits), CSV uses '\\n' line endings,
+and JSON keys are sorted.  Every output embeds a provenance header (toolkit
+version, ambient, tolerances) together with a note that reported quotients
+are empirical values and upper bounds only.
 
-Exit codes: 0 on success; 2 on validation errors (bad parameters, malformed
-or mis-shaped input JSON, unsupported geometry); 3 on quadrature
-non-convergence, in which case the document written holds the provenance,
-marked ``certified: false``, and the error message (sweep-grid writes its
-other rows and marks the failed ones).
+Exit codes: 0 on success; 2 on validation errors (bad parameters, including
+an invalid sweep-grid value, malformed or mis-shaped input JSON, unsupported
+geometry, an unwritable --out path), with nothing written to stdout; 3 on
+quadrature non-convergence, in which case the document written holds the
+provenance, marked ``certified: false``, and the error message (sweep-grid
+writes its other rows and marks the failed ones).
 """
 
 from __future__ import annotations
@@ -23,27 +25,13 @@ import sys
 from typing import Any, Sequence
 
 from . import __version__
-from .bubbles import (
-    BubbleParam,
-    Superposition,
-    superposition_from_dict,
-)
+from .bubbles import BubbleParam, Superposition, superposition_from_dict
 from .constants import Ambient, sharp_constants
-from .errors import (
-    GeometryError,
-    ParameterError,
-    QuadratureNonConvergence,
-    SobstabError,
-)
-from .expansion import (
-    assemble_report,
-    default_lambda_grid,
-    sweep_point,
-    threshold_value,
-)
-from .functional import functional_report
+from .errors import GeometryError, ParameterError, QuadratureNonConvergence
+from .expansion import ExpansionReport, sweep
+from .functional import FunctionalReport, functional_report
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
-from .thresholds import compare, crossover_scan
+from .thresholds import ThresholdReport, compare, crossover_scan
 
 __all__ = ["main"]
 
@@ -106,9 +94,12 @@ def _prov_comments(prov: dict[str, Any]) -> list[str]:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {out}: {exc}") from exc
 
 
 def _json_doc(payload: dict[str, Any]) -> str:
@@ -187,52 +178,45 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_thresholds(args: argparse.Namespace) -> int:
-    amb = Ambient(args.d, args.s)
-    rep = compare(amb)
-    payload = {
-        "provenance": _provenance(amb, None),
-        "d": amb.d,
-        "s": amb.s,
+def _threshold_payload(rep: ThresholdReport) -> dict[str, Any]:
+    return {
+        "d": rep.ambient.d,
+        "s": rep.ambient.s,
         "c_spec": rep.c_spec,
         "c_two_peak": rep.c_two_peak,
         "binding": rep.binding.value,
         "upper_bound_on_cBE": rep.upper_bound_on_cBE,
         "d1_caveat": rep.d1_caveat,
     }
+
+
+def _cmd_thresholds(args: argparse.Namespace) -> int:
+    amb = Ambient(args.d, args.s)
+    payload = _threshold_payload(compare(amb))
+    payload["provenance"] = _provenance(amb, None)
     _emit(_json_doc(payload), args.out)
     return 0
+
+
+_CROSSOVER_COLUMNS = ("d", "s", "c_spec", "c_two_peak", "binding")
 
 
 def _cmd_crossover(args: argparse.Namespace) -> int:
     scan = crossover_scan(args.s, args.d_min, args.d_max)
     prov = _provenance(None, None)
+    reports = [_threshold_payload(r) for r in scan.reports]
     if args.format == "json":
         payload = {
             "provenance": prov,
             "s": scan.s,
             "exploratory": scan.exploratory,
             "crossover_d": scan.crossover_d,
-            "reports": [
-                {
-                    "d": r.ambient.d,
-                    "s": r.ambient.s,
-                    "c_spec": r.c_spec,
-                    "c_two_peak": r.c_two_peak,
-                    "binding": r.binding.value,
-                    "upper_bound_on_cBE": r.upper_bound_on_cBE,
-                    "d1_caveat": r.d1_caveat,
-                }
-                for r in scan.reports
-            ],
+            "reports": reports,
         }
         _emit(_json_doc(payload), args.out)
         return 0
-    rows = [
-        [r.ambient.d, float(r.ambient.s), r.c_spec, r.c_two_peak, r.binding.value]
-        for r in scan.reports
-    ]
-    doc = _csv_doc(prov, "d,s,c_spec,c_two_peak,binding", rows)
+    rows = [[r[col] for col in _CROSSOVER_COLUMNS] for r in reports]
+    doc = _csv_doc(prov, ",".join(_CROSSOVER_COLUMNS), rows)
     extra = (
         f"# crossover_d: {scan.crossover_d}\n"
         f"# exploratory: {'true' if scan.exploratory else 'false'}\n"
@@ -241,8 +225,8 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _functional_payload(u: Superposition, cfg: QuadratureConfig) -> dict[str, Any]:
-    rep = functional_report(u, cfg)
+def _report_payload(rep: FunctionalReport) -> dict[str, Any]:
+    """The eval payload: every field of the functional report."""
     return {
         "hs_norm_sq": rep.hs_norm_sq,
         "lp_norm": rep.lp_norm,
@@ -260,11 +244,23 @@ def _functional_payload(u: Superposition, cfg: QuadratureConfig) -> dict[str, An
     }
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _dist_payload(rep: FunctionalReport) -> dict[str, Any]:
+    """The dist payload: the distance fields of the eval payload."""
+    full = _report_payload(rep)
+    return {
+        "hs_norm_sq": full["hs_norm_sq"],
+        "m": full["m"]["value"],
+        "maximizer": full["m"]["maximizer"],
+        "dist_sq": full["dist_sq"],
+    }
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    """eval and dist: the functional report of the config, or exit 3."""
     u = _load_superposition(args.config)
     cfg = _quad_config(args)
     try:
-        payload = _functional_payload(u, cfg)
+        payload = args.payload(functional_report(u, cfg))
     except QuadratureNonConvergence as exc:
         return _emit_nonconvergence(exc, u.ambient, cfg, args.out)
     payload["provenance"] = _provenance(u.ambient, cfg)
@@ -272,28 +268,19 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dist(args: argparse.Namespace) -> int:
-    u = _load_superposition(args.config)
-    cfg = _quad_config(args)
-    try:
-        rep = functional_report(u, cfg)
-    except QuadratureNonConvergence as exc:
-        return _emit_nonconvergence(exc, u.ambient, cfg, args.out)
-    payload = {
-        "provenance": _provenance(u.ambient, cfg),
-        "hs_norm_sq": rep.hs_norm_sq,
-        "m": rep.m.value,
-        "maximizer": _bubble_dict(rep.m.maximizer),
-        "dist_sq": rep.dist_sq,
-    }
-    _emit(_json_doc(payload), args.out)
-    return 0
+# Output key of each ExpansionPoint field, in CSV column order.
+_POINT_FIELDS = {
+    "lambda": "lam",
+    "hs_norm_sq": "hs_norm_sq",
+    "lp_norm_sq_2star": "lp_norm_sq_2star",
+    "m": "m_value",
+    "mu_of_lambda": "mu_of_lambda",
+    "dist_sq": "dist_sq",
+    "be_value": "be_value",
+}
 
 
-_EXPAND_HEADER = "lambda,hs_norm_sq,lp_norm_sq_2star,m,mu_of_lambda,dist_sq,be_value"
-
-
-def _fit_payload(report) -> dict[str, Any]:
+def _fit_payload(report: ExpansionReport) -> dict[str, Any]:
     return {
         "fitted_exponent": report.fitted_exponent,
         "fitted_coefficient": report.fitted_coefficient,
@@ -311,54 +298,25 @@ def _fit_payload(report) -> dict[str, Any]:
 def _cmd_expand(args: argparse.Namespace) -> int:
     amb = Ambient(args.d, args.s)
     cfg = _quad_config(args)
+    grid = None
     if args.lam_list is not None:
         grid = _parse_float_list(args.lam_list, "--lambda")
-        for lam in grid:
-            if not 0.0 < lam <= 1.0:
-                raise ParameterError(
-                    f"--lambda values must lie in (0, 1], got {lam}"
-                )
-    else:
-        grid = default_lambda_grid(amb, cfg)
     try:
-        points = [sweep_point(lam, amb, cfg) for lam in grid]
+        report = sweep(amb, grid, cfg)
     except QuadratureNonConvergence as exc:
         return _emit_nonconvergence(exc, amb, cfg, args.out)
-    report = assemble_report(amb, points, cfg)
     prov = _provenance(amb, cfg)
-    if args.format == "json":
-        payload = {
-            "provenance": prov,
-            "points": [
-                {
-                    "lambda": p.lam,
-                    "hs_norm_sq": p.hs_norm_sq,
-                    "lp_norm_sq_2star": p.lp_norm_sq_2star,
-                    "m": p.m_value,
-                    "mu_of_lambda": p.mu_of_lambda,
-                    "dist_sq": p.dist_sq,
-                    "be_value": p.be_value,
-                }
-                for p in report.points
-            ],
-            "fit": _fit_payload(report),
-        }
-        _emit(_json_doc(payload), args.out)
-        return 0
-    rows = [
-        [
-            p.lam,
-            p.hs_norm_sq,
-            p.lp_norm_sq_2star,
-            p.m_value,
-            p.mu_of_lambda,
-            p.dist_sq,
-            p.be_value,
-        ]
+    points = [
+        {key: getattr(p, field) for key, field in _POINT_FIELDS.items()}
         for p in report.points
     ]
-    csv_text = _csv_doc(prov, _EXPAND_HEADER, rows)
-    fit_doc = _json_doc({"fit": _fit_payload(report)})
+    fit = _fit_payload(report)
+    if args.format == "json":
+        _emit(_json_doc({"provenance": prov, "points": points, "fit": fit}), args.out)
+        return 0
+    rows = [list(p.values()) for p in points]
+    csv_text = _csv_doc(prov, ",".join(_POINT_FIELDS), rows)
+    fit_doc = _json_doc({"fit": fit})
     if args.out is None:
         # single stream: append the fit summary as comment lines
         fit_comments = "".join(f"# {line}\n" for line in fit_doc.rstrip().split("\n"))
@@ -376,20 +334,14 @@ _GRID_HEADER = (
 
 
 def _grid_row(
-    amb: Ambient, cfg: QuadratureConfig, c2: float, lam: float, sep: float,
+    cfg: QuadratureConfig, c2: float, lam: float, sep: float, u: Superposition,
     bound: float,
 ) -> list[Any]:
-    """One sweep-grid row; a failed point carries its error as status."""
+    """One sweep-grid row; a point whose quadrature fails carries the error
+    as its status."""
     try:
-        u = Superposition(
-            amb,
-            (
-                BubbleParam(1.0, (0.0,) * amb.d, 1.0),
-                BubbleParam(c2, (sep,) + (0.0,) * (amb.d - 1), lam),
-            ),
-        )
         rep = functional_report(u, cfg)
-    except SobstabError as exc:
+    except QuadratureNonConvergence as exc:
         return [c2, lam, sep, f"{type(exc).__name__}: {exc}"] + [None] * 7
     be = rep.be_quotient
     return [
@@ -405,18 +357,22 @@ def _cmd_sweep_grid(args: argparse.Namespace) -> int:
     c2s = _parse_float_list(args.c2, "--c2")
     lams = _parse_float_list(args.lam_list, "--lambda")
     seps = _parse_float_list(args.separation, "--separation")
-    for lam in lams:
-        if not lam > 0.0:
-            raise ParameterError(f"--lambda values must be > 0, got {lam}")
     for sep in seps:
-        if sep < 0.0:
+        if not sep >= 0.0:
             raise ParameterError(f"--separation values must be >= 0, got {sep}")
-    thresholds = compare(amb)
-    bound = min(thresholds.c_spec, thresholds.c_two_peak)
-    rows = [
-        _grid_row(amb, cfg, c2, lam, sep, bound)
-        for c2, lam, sep in itertools.product(c2s, lams, seps)
-    ]
+    # Every point is built, and so validated, before any is evaluated.
+    first = BubbleParam(1.0, (0.0,) * amb.d, 1.0)
+    points = []
+    for c2, lam, sep in itertools.product(c2s, lams, seps):
+        try:
+            second = BubbleParam(c2, (sep,) + (0.0,) * (amb.d - 1), lam)
+        except ParameterError as exc:
+            raise ParameterError(
+                f"grid point c2={c2} lambda={lam} separation={sep}: {exc}"
+            ) from exc
+        points.append((c2, lam, sep, Superposition(amb, (first, second))))
+    bound = compare(amb).upper_bound_on_cBE
+    rows = [_grid_row(cfg, *point, bound) for point in points]
     failures = sum(row[3] != "ok" for row in rows)
     prov = _provenance(amb, cfg, certified=failures == 0)
     doc = _csv_doc(prov, _GRID_HEADER, rows)
@@ -492,13 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="superposition JSON path")
     _add_tolerances(p)
     _add_output(p, None)
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_report, payload=_report_payload)
 
     p = sub.add_parser("dist", help="distance-to-manifold report")
     p.add_argument("--config", required=True, help="superposition JSON path")
     _add_tolerances(p)
     _add_output(p, None)
-    p.set_defaults(func=_cmd_dist)
+    p.set_defaults(func=_cmd_report, payload=_dist_payload)
 
     p = sub.add_parser("expand", help="two-bubble lambda sweep with deficit fit")
     _add_ambient(p)

@@ -29,6 +29,7 @@ from .constants import Ambient, sharp_constants
 from .errors import ParameterError
 from .functional import functional_report
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .thresholds import two_peak_threshold
 
 __all__ = [
     "ExpansionPoint",
@@ -213,8 +214,9 @@ class ExpansionReport:
 
 
 def threshold_value(amb: Ambient) -> float:
-    """The strict upper bound 2 - 2^(2/2*) that every sweep point must beat."""
-    return 2.0 - 2.0 ** (2.0 / amb.two_star)
+    """The strict upper bound 2 - 2^(2/2*) that every sweep point must beat:
+    thresholds.two_peak_threshold, since 2/2* = (d-2s)/d."""
+    return two_peak_threshold(amb)
 
 
 def predicted_coefficient(amb: Ambient) -> float:

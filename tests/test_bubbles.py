@@ -424,6 +424,7 @@ class TestSchema:
             ({"s": 1.0, "terms": []}, "d:"),
             ({"d": 3, "terms": []}, "s:"),
             ({"d": 3, "s": 2.0, "terms": []}, "s:"),
+            ({"d": 3, "s": 10**400, "terms": []}, "s:"),
             ({"d": 0, "s": 1.0, "terms": []}, "d:"),
             ({"d": 3, "s": 1.0}, "terms"),
             ({"d": 3, "s": 1.0, "terms": []}, "terms"),
@@ -437,6 +438,19 @@ class TestSchema:
              "terms[0].lambda"),
             ({"d": 3, "s": 1.0,
               "terms": [{"coeff": 0, "center": [0, 0, 0], "lambda": 1}]},
+             "terms[0].coeff"),
+            # json.loads accepts NaN and Infinity
+            ({"d": 3, "s": 1.0,
+              "terms": [{"coeff": math.nan, "center": [0, 0, 0], "lambda": 1}]},
+             "terms[0].coeff"),
+            ({"d": 3, "s": 1.0,
+              "terms": [{"coeff": 1, "center": [0, math.inf, 0], "lambda": 1}]},
+             "terms[0].center"),
+            ({"d": 3, "s": 1.0,
+              "terms": [{"coeff": 1, "center": [0, 0, 0], "lambda": math.inf}]},
+             "terms[0].lambda"),
+            ({"d": 3, "s": 1.0,
+              "terms": [{"coeff": 10**400, "center": [0, 0, 0], "lambda": 1}]},
              "terms[0].coeff"),
         ],
     )

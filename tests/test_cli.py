@@ -79,6 +79,14 @@ class TestConstants:
         assert rc == 2
         assert "error:" in err
 
+    def test_unwritable_out_is_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "c.json"
+        rc, out, err = run(capsys, "constants", "--d", "3", "--s", "1",
+                           "--out", str(target))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}")
+
 
 class TestThresholds:
     def test_spectral_side(self, capsys):
@@ -93,6 +101,15 @@ class TestThresholds:
         doc = json.loads(out)
         assert doc["binding"] == "TWO_PEAK"
         assert doc["upper_bound_on_cBE"] == doc["c_two_peak"]
+
+    @pytest.mark.parametrize("s", ["1", "0.3"])
+    def test_equals_crossover_entries(self, capsys, s):
+        _, out, _ = run(capsys, "crossover", "--s", s, "--format", "json")
+        for entry in json.loads(out)["reports"]:
+            _, single, _ = run(capsys, "thresholds", "--d", str(entry["d"]), "--s", s)
+            doc = json.loads(single)
+            del doc["provenance"]
+            assert doc == entry
 
 
 class TestCrossover:
@@ -199,6 +216,19 @@ class TestDist:
         assert doc["maximizer"]["coeff"] == 1.0
         assert len(doc["maximizer"]["center"]) == 3
 
+    @pytest.mark.parametrize("doc", [PAIR, COLLINEAR_PAIR], ids=["concentric", "collinear"])
+    def test_fields_equal_eval(self, capsys, tmp_path, doc):
+        cfgp = write_config(tmp_path, doc)
+        _, out, _ = run(capsys, "dist", "--config", cfgp)
+        dist = json.loads(out)
+        _, out, _ = run(capsys, "eval", "--config", cfgp)
+        full = json.loads(out)
+        assert dist["provenance"] == full["provenance"]
+        assert dist["hs_norm_sq"] == full["hs_norm_sq"]
+        assert dist["m"] == full["m"]["value"]
+        assert dist["maximizer"] == full["m"]["maximizer"]
+        assert dist["dist_sq"] == full["dist_sq"]
+
 
 EXPAND_GRID = "1e-2,5e-3,2e-3,1e-3,5e-4,2e-4,1e-4"
 
@@ -257,6 +287,29 @@ class TestExpand:
         _, parallel, _ = run(capsys, *args, "--jobs", "2")
         assert serial == parallel
 
+    def test_csv_rows_equal_json_points(self, capsys):
+        args = ("expand", "--d", "3", "--s", "1", "--lambda", "1.0," + EXPAND_GRID)
+        _, csv_out, _ = run(capsys, *args)
+        _, json_out, _ = run(capsys, *args, "--format", "json")
+        header, *rows = [
+            ln.split(",") for ln in csv_out.splitlines() if not ln.startswith("#")
+        ]
+        points = json.loads(json_out)["points"]
+        assert len(rows) == len(points) == 8
+        for row, point in zip(rows, points):
+            assert set(header) == set(point)
+            assert [None if c == "" else float(c) for c in row] == [
+                point[key] for key in header
+            ]
+
+    def test_fit_threshold_is_two_peak_threshold(self, capsys):
+        """The two formulas 2 - 2^(2/2*) and 2 - 2^((d-2s)/d) differ in the
+        last bits at (3, 0.1); expand must report the thresholds value."""
+        _, out, _ = run(capsys, "expand", "--d", "3", "--s", "0.1", "--format", "json")
+        fit_threshold = json.loads(out)["fit"]["threshold"]
+        _, out, _ = run(capsys, "thresholds", "--d", "3", "--s", "0.1")
+        assert fit_threshold == json.loads(out)["c_two_peak"]
+
     def test_bad_lambda_is_exit_2(self, capsys):
         rc, _, err = run(
             capsys, "expand", "--d", "3", "--s", "1", "--lambda", "1e-2,-1.0"
@@ -303,6 +356,28 @@ class TestSweepGrid:
         )
         assert rc == 2
         assert "separation" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--c2", "0"),
+            ("--c2", "nan"),
+            ("--lambda", "inf"),
+            ("--lambda", "-0.5"),
+            ("--separation", "nan"),
+            ("--separation", "inf"),
+        ],
+    )
+    def test_invalid_value_is_exit_2_before_any_row(self, capsys, flag, value):
+        grid = {"--c2": "1.0", "--lambda": "0.5", "--separation": "0"}
+        grid[flag] = "1.0," + value
+        argv = ["sweep-grid", "--d", "3", "--s", "1"]
+        for name, values in grid.items():
+            argv += [name, values]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and value in err
 
 
 class TestParser:
