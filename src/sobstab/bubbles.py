@@ -8,9 +8,13 @@ never discretized.  A pairing depends only on the conformal invariant of its
 two bubbles and is evaluated in closed form, as a Gauss hypergeometric
 function (_pair_kernel).  The critical norm ||u||_{2*} has no closed form and
 is integrated by quadrature: radial for CONCENTRIC configurations (all
-centers coincide), axisymmetric for COLLINEAR ones (all centers on one line;
-a split real-line integral for d = 1).  The pairings hold for any centers;
-lp_norm rejects GENERAL center clouds.
+centers coincide), over (axial position, distance from the axis) for
+COLLINEAR ones (all centers on one line; at distance 0 when d = 1).  Any two
+centers lie on one line, so every two-bubble configuration has such a frame:
+_frame computes it once per call (geometry class, origin, unit axis, axial
+positions) for Superposition.geometry, lp_norm and the m-search.  The
+pairings hold for any centers; lp_norm and the m-search reject GENERAL
+center clouds.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ __all__ = [
     "superposition_to_dict",
 ]
 
-# Centers closer than this (relative to the cloud size) are treated as equal.
+# Centers closer than this to the first (relative to the cloud size) coincide;
+# offsets from the axis below this (relative to the cloud's extent) lie on it.
 _CENTER_TOL = 1e-14
 
 
@@ -81,21 +86,6 @@ class BubbleParam:
             raise ParameterError("center coordinates must be finite")
 
 
-def _classify(centers: np.ndarray) -> Geometry:
-    """Geometry class of a center cloud via the singular values of the
-    centered coordinate matrix."""
-    diffs = centers - centers[0]
-    if not diffs.any():
-        return Geometry.CONCENTRIC
-    sv = np.linalg.svd(diffs, compute_uv=False)
-    scale = max(1.0, float(np.abs(centers).max()))
-    if sv[0] <= _CENTER_TOL * scale:
-        return Geometry.CONCENTRIC
-    if len(sv) < 2 or sv[1] <= _CENTER_TOL * sv[0]:
-        return Geometry.COLLINEAR
-    return Geometry.GENERAL
-
-
 @dataclass(frozen=True)
 class Superposition:
     """A finite bubble superposition in a fixed ambient (d, s)."""
@@ -117,28 +107,39 @@ class Superposition:
 
     @property
     def geometry(self) -> Geometry:
-        return _classify(self._centers())
-
-    def _centers(self) -> np.ndarray:
-        return np.array([t.center for t in self.terms], dtype=float)
+        return _frame(self)[0]
 
 
-def _axis(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Origin, unit direction, and axial coordinates for a collinear cloud.
+def _frame(u: Superposition) -> tuple[Geometry, np.ndarray, np.ndarray, np.ndarray]:
+    """Geometry class and collinear frame of u's centers: the origin (the
+    first center), the unit axis and the axial position of every center.
 
-    For a concentric cloud the direction defaults to the first basis vector,
-    so the same frame serves off-axis searches around a common center.
+    The axis points from the first center to the farthest one; when all
+    centers coincide it is the first basis vector, so the same frame serves
+    searches around the common center.  The cloud is CONCENTRIC when every
+    center lies within _CENTER_TOL of the first, relative to the cloud size,
+    and COLLINEAR when every offset from the axis lies within _CENTER_TOL of
+    the cloud's extent.
     """
+    centers = np.array([t.center for t in u.terms], dtype=float)
     p0 = centers[0]
     diffs = centers - p0
     norms = np.linalg.norm(diffs, axis=1)
-    if norms.max() == 0.0:
-        e = np.zeros(centers.shape[1])
+    extent = norms.max()
+    if extent == 0.0:
+        e = np.zeros(len(p0))
         e[0] = 1.0
-        return p0, e, np.zeros(len(centers))
+        return Geometry.CONCENTRIC, p0, e, np.zeros(len(centers))
     e = diffs[int(norms.argmax())]
     e = e / np.linalg.norm(e)
-    return p0, e, diffs @ e
+    pos = diffs @ e
+    if extent <= _CENTER_TOL * max(1.0, float(np.abs(centers).max())):
+        geo = Geometry.CONCENTRIC
+    elif np.linalg.norm(diffs - pos[:, None] * e, axis=1).max() <= _CENTER_TOL * extent:
+        geo = Geometry.COLLINEAR
+    else:
+        geo = Geometry.GENERAL
+    return geo, p0, e, pos
 
 
 def evaluate(u: Superposition, y: Sequence[float]) -> float:
@@ -287,26 +288,6 @@ def _pair_radial(amb: Ambient, axial: tuple, a, z) -> np.ndarray:
     return (coeffs @ _pair_kernel(amb, t)).reshape(a.shape)
 
 
-def _scale_ladder(scales: Sequence[float]) -> list[float]:
-    """Radial knots bracketing each bubble width 1/lambda, so that a narrow
-    or far feature is enclosed by a segment of comparable size instead of
-    sitting in the sliver of a much wider one."""
-    knots = []
-    for lam in scales:
-        w = 1.0 / lam
-        knots.extend((0.25 * w, w, 4.0 * w))
-    return knots
-
-
-def _axial_brackets(positions_scales: Sequence[tuple[float, float]]) -> list[float]:
-    """Axial knots at each center plus one bubble-width to either side."""
-    knots = []
-    for t, lam in positions_scales:
-        w = 1.0 / lam
-        knots.extend((t - w, t, t + w))
-    return knots
-
-
 def pair_against_bubble(u: Superposition, h: BubbleParam) -> float:
     """The pairing (u, h^(2*-1)) = integral of u * h^(2*-1) over R^d,
     for a unit-coefficient bubble h: sum_i c_i F(t_i), in closed form for
@@ -347,15 +328,15 @@ def lp_norm(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     check_config(cfg)
     amb = u.ambient
     two_star = amb.two_star
+    bexp = amb.beta_exp
     cst = sharp_constants(amb)
-    geo = u.geometry
+    geo, _, _, pos = _frame(u)
     if geo is Geometry.GENERAL:
         raise GeometryError("lp_norm requires concentric or collinear centers")
 
     if geo is Geometry.CONCENTRIC:
         # log-radius form; the largest log-profile is factored out so the
         # e^(d v) weight can never meet an underflowed sum (0 * inf).
-        bexp = amb.beta_exp
         d = amb.d
         log_lams = [(t.coeff, math.log(t.scale)) for t in u.terms]
 
@@ -374,25 +355,10 @@ def lp_norm(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
         total = sphere_area(amb.d) * res.value
         return total ** (1.0 / two_star)
 
-    centers = u._centers()
-    p0, e, ts = _axis(centers)
-    bexp = amb.beta_exp
-    axial = [(t.coeff, ts[i], t.scale) for i, t in enumerate(u.terms)]
-    knots_ax = _axial_brackets([(ts[i], t.scale) for i, t in enumerate(u.terms)])
+    axial = [(t.coeff, ti, t.scale) for t, ti in zip(u.terms, pos)]
 
-    if amb.d == 1:
-
-        def f1(xs: np.ndarray) -> np.ndarray:
-            acc = np.zeros_like(xs)
-            for c, ti, lam in axial:
-                z = lam * (xs - ti)
-                acc += c * lam**bexp * (1.0 + z * z) ** (-bexp)
-            return np.abs(cst.c_d * acc) ** two_star
-
-        res = integrate_real_line(f1, cfg, knots=knots_ax)
-        return res.value ** (1.0 / two_star)
-
-    def f(t: float, rhos: np.ndarray) -> np.ndarray:
+    def f(t: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+        """|u|^(2*) at axial position t and distance rho from the axis."""
         rho2 = rhos * rhos
         acc = np.zeros_like(rhos)
         for c, ti, lam in axial:
@@ -400,13 +366,23 @@ def lp_norm(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
             acc += c * lam**bexp * (1.0 + z2) ** (-bexp)
         return np.abs(cst.c_d * acc) ** two_star
 
-    res = integrate_axisymmetric(
-        f,
-        amb,
-        cfg,
-        axial_knots=knots_ax,
-        radial_knots=_scale_ladder([t.scale for t in u.terms]),
-    )
+    # Axial knots at each center and one bubble width 1/lambda to either
+    # side; radial knots bracketing each width, so that a narrow or far
+    # feature is enclosed by a segment of comparable size.
+    widths = 1.0 / np.array([t.scale for t in u.terms])
+    axial_knots = np.concatenate([pos - widths, pos, pos + widths])
+    if amb.d == 1:
+        res = integrate_real_line(
+            lambda xs: f(xs, np.zeros_like(xs)), cfg, knots=axial_knots
+        )
+    else:
+        res = integrate_axisymmetric(
+            f,
+            amb,
+            cfg,
+            axial_knots=axial_knots,
+            radial_knots=np.concatenate([0.25 * widths, widths, 4.0 * widths]),
+        )
     return res.value ** (1.0 / two_star)
 
 
@@ -441,6 +417,8 @@ def superposition_from_dict(doc: dict) -> Superposition:
     d = doc["d"]
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise SchemaError(f"d: expected a positive integer, got {d!r}")
+    if not _is_finite_number(d):
+        raise SchemaError("d: too large to convert to a float")
     s = doc["s"]
     if not _is_finite_number(s):
         raise SchemaError(f"s: expected a finite number, got {s!r}")

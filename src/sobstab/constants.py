@@ -20,6 +20,7 @@ the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,6 +52,8 @@ class Ambient:
             raise ParameterError(f"d must be an integer, got {self.d!r}")
         if self.d < 1:
             raise ParameterError(f"d must be >= 1, got {self.d}")
+        if self.d > sys.float_info.max:
+            raise ParameterError("d is too large to convert to a float")
         s = float(self.s)
         if not math.isfinite(s) or not 0.0 < s < self.d / 2.0:
             raise ParameterError(
@@ -193,14 +196,20 @@ def appendix_constants(amb: Ambient) -> tuple[float, float, float]:
 
 @lru_cache(maxsize=None)
 def sharp_constants(amb: Ambient) -> SharpConstants:
-    """All constants for one ambient, computed eagerly and cached."""
-    c0, a_d, b_d = appendix_constants(amb)
-    return SharpConstants(
-        ambient=amb,
-        c_d=normalization_c(amb),
-        A_ds=_eigen_factor(amb),
-        S_d=sharp_constant(amb),
-        c0=c0,
-        a_d=a_d,
-        b_d=b_d,
-    )
+    """All constants for one ambient, computed eagerly and cached.
+
+    Raises ParameterError when d is so large that a constant leaves the
+    float range (overflows, or underflows to 0).
+    """
+    try:
+        c0, a_d, b_d = appendix_constants(amb)
+        c_d, A_ds, S_d = normalization_c(amb), _eigen_factor(amb), sharp_constant(amb)
+        values = (c_d, A_ds, S_d, c0, a_d, b_d)
+    except (OverflowError, ZeroDivisionError):
+        values = (math.nan,)
+    if not all(math.isfinite(v) and v != 0.0 for v in values):
+        raise ParameterError(
+            f"d = {amb.d} is too large: the sharp constants at s = {amb.s} "
+            "are not finite nonzero floats"
+        )
+    return SharpConstants(amb, *values)

@@ -26,7 +26,7 @@ from .bubbles import (
     BubbleParam,
     Geometry,
     Superposition,
-    _axis,
+    _frame,
     _pair_radial,
     hs_norm_sq,
     lp_norm,
@@ -202,11 +202,10 @@ def m_value(u: Superposition) -> MOptimum:
     _CLUSTER_TOL in both axial position (in probe widths) and log scale
     merged to the best.
     """
-    geo = u.geometry
+    geo, p0, e, pos = _frame(u)
     if geo is Geometry.GENERAL:
         raise GeometryError("m_value requires concentric or collinear centers")
     amb = u.ambient
-    p0, e, pos = _axis(u._centers())
     coeffs = np.array([t.coeff for t in u.terms])
     lams = np.array([t.scale for t in u.terms])
     axial = (coeffs, pos, lams)

@@ -82,21 +82,20 @@ _WGAUSS[7] = _WG[3]
 _WGAUSS[[9, 11, 13]] = _WG[2::-1]
 
 _MAX_PANELS = 20000
+# A panel is bisected at most this many times.
+_MAX_SUBDIVISIONS = 30
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and refinement budget for one adaptive integration."""
+    """Tolerances for one adaptive integration."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
-    max_subdivisions: int = 30
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise ParameterError("rel_tol and abs_tol must be positive and finite")
-        if self.max_subdivisions < 1:
-            raise ParameterError("max_subdivisions must be >= 1")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -216,7 +215,7 @@ def _integrate_segments(
     belongs to integral ``rows[k]``.  Each integral queues its panels by error
     estimate, largest first, and splits them at their midpoints until the
     fsum of its estimates meets max(rel_tol*|value|, abs_tol); a panel may be
-    bisected at most ``max_subdivisions`` times.  The integrals refine in
+    bisected at most _MAX_SUBDIVISIONS times.  The integrals refine in
     lockstep: every step splits the worst panel of each integral still open
     and evaluates all new panels together.  The first integral that cannot
     converge raises QuadratureNonConvergence with its best estimate.
@@ -257,7 +256,7 @@ def _integrate_segments(
             if row.panels < _MAX_PANELS:
                 while row.heap:
                     panel = heapq.heappop(row.heap)
-                    if panel[4] < cfg.max_subdivisions:
+                    if panel[4] < _MAX_SUBDIVISIONS:
                         split = panel
                         break
                     row.frozen.append((panel[5], -panel[0]))  # cannot improve
@@ -265,7 +264,7 @@ def _integrate_segments(
                 val, err = row.exact()
                 raise QuadratureNonConvergence(
                     f"tolerance not met: error estimate {err:.3e} with "
-                    f"{row.panels} panels at max_subdivisions={cfg.max_subdivisions}",
+                    f"{row.panels} panels at max_subdivisions={_MAX_SUBDIVISIONS}",
                     best=QuadratureResult(val, err, row.evals),
                 )
             neg_err, _, a, b, depth, val, k = split
@@ -384,11 +383,7 @@ def integrate_axisymmetric(
             "axisymmetric reduction requires d >= 2; for d = 1 integrate over "
             "the real line split at the centers"
         )
-    inner_cfg = QuadratureConfig(
-        rel_tol=cfg.rel_tol * 0.1,
-        abs_tol=cfg.abs_tol * 0.1,
-        max_subdivisions=cfg.max_subdivisions,
-    )
+    inner_cfg = QuadratureConfig(rel_tol=cfg.rel_tol * 0.1, abs_tol=cfg.abs_tol * 0.1)
     w = amb.d - 2
     breaks = _half_line_breaks(radial_knots)
     inner_evals = 0

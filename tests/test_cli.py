@@ -79,6 +79,15 @@ class TestConstants:
         assert rc == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("d", ["326", "1" + "0" * 400], ids=["326", "401-digit"])
+    def test_too_large_d_is_exit_2(self, capsys, d):
+        """At d = 326 the constants leave the float range; a 401-digit d
+        does not convert to a float at all."""
+        rc, out, err = run(capsys, "constants", "--d", d, "--s", "1")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: d ")
+
     def test_unwritable_out_is_exit_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "c.json"
         rc, out, err = run(capsys, "constants", "--d", "3", "--s", "1",
@@ -169,6 +178,13 @@ class TestEval:
         rc, _, err = run(capsys, "eval", "--config", cfgp)
         assert rc == 2
         assert "terms[0]" in err
+
+    def test_too_large_d_is_exit_2(self, capsys, tmp_path):
+        cfgp = write_config(tmp_path, {"d": 10**400, "s": 1, "terms": []})
+        rc, out, err = run(capsys, "eval", "--config", cfgp)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: d: ")
 
     def test_nonfinite_tolerance_is_exit_2(self, capsys, tmp_path):
         """An infinite rel_tol would accept the first, unrefined estimate."""

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sobstab.constants import Ambient, beta_half_line, sphere_area
+from sobstab import quadrature
 from sobstab.errors import GeometryError, ParameterError, QuadratureNonConvergence
 from sobstab.quadrature import (
     _NODES,
@@ -24,6 +25,7 @@ from sobstab.quadrature import (
 )
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
+DEPTH = quadrature._MAX_SUBDIVISIONS
 
 
 class TestConfig:
@@ -36,7 +38,6 @@ class TestConfig:
         [
             dict(rel_tol=0.0),
             dict(abs_tol=-1e-3),
-            dict(max_subdivisions=0),
             dict(rel_tol=math.inf),
             dict(abs_tol=math.nan),
         ],
@@ -96,8 +97,9 @@ class TestHalfLine:
             worst = max(worst, true_err / budget)
         assert worst <= 1.0
 
-    def test_nonconvergence_carries_best_estimate(self):
-        cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=2)
+    def test_nonconvergence_carries_best_estimate(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
+        cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300)
         with pytest.raises(QuadratureNonConvergence) as exc:
             integrate_half_line(lambda r: (1.0 + r * r) ** (-1.2345), cfg)
         best = exc.value.best
@@ -108,12 +110,12 @@ class TestHalfLine:
         with pytest.raises(ParameterError, match="non-finite"):
             integrate_half_line(lambda r: np.where(r > 1.0, np.nan, np.exp(-r)), TIGHT)
 
-    def test_divergent_integrand_fails_honestly(self):
+    def test_divergent_integrand_fails_honestly(self, monkeypatch):
         """1/r is finite at every interior node; the divergence must surface
         as non-convergence with a huge error estimate, never as a value."""
-        small = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=4)
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 4)
         with pytest.raises(QuadratureNonConvergence) as exc:
-            integrate_half_line(lambda r: 1.0 / r, small)
+            integrate_half_line(lambda r: 1.0 / r, DEFAULT_CONFIG)
         best = exc.value.best
         assert best is not None
         assert best.error_estimate > 1e-3 * abs(best.value)
@@ -218,11 +220,7 @@ def _nested_reference(f, amb, cfg, axial_knots=(0.0,), radial_knots=None):
     an outer integrate_real_line whose integrand loops over the axial nodes,
     running one integrate_half_line at 10x tighter tolerance per node t.
     Returns the value and the total number of integrand evaluations."""
-    inner_cfg = QuadratureConfig(
-        rel_tol=cfg.rel_tol * 0.1,
-        abs_tol=cfg.abs_tol * 0.1,
-        max_subdivisions=cfg.max_subdivisions,
-    )
+    inner_cfg = QuadratureConfig(rel_tol=cfg.rel_tol * 0.1, abs_tol=cfg.abs_tol * 0.1)
     w = amb.d - 2
     inner_evals = []
 
@@ -301,7 +299,7 @@ class TestDeterminism:
 def _exact_rule_reference(f, cfg, knots=()):
     """integrate_half_line restated as the plain adaptive loop: the fsum of
     every live panel is taken before each split, and the worst panel below
-    max_subdivisions is bisected.  Returns its QuadratureResult, or the
+    the subdivision limit is bisected.  Returns its QuadratureResult, or the
     best estimate it raised QuadratureNonConvergence with."""
 
     def g(ts):
@@ -329,7 +327,7 @@ def _exact_rule_reference(f, cfg, knots=()):
             return result
         while heap:
             _, seq, a, b, depth = heapq.heappop(heap)
-            if depth < cfg.max_subdivisions:
+            if depth < quadrature._MAX_SUBDIVISIONS:
                 break
         else:
             return result
@@ -344,23 +342,25 @@ class TestExactRule:
     panels refined and the bits returned are those of the exact rule."""
 
     @pytest.mark.parametrize(
-        "f, cfg, knots",
+        "f, cfg, knots, depth",
         [
-            (lambda r: r**2.0 * (1.0 + r * r) ** -3.0, TIGHT, ()),
-            (lambda r: r**0.5 * (1.0 + r * r) ** -2.25, DEFAULT_CONFIG, ()),
-            (lambda r: np.sin(3.0 * r) * np.exp(-r), TIGHT, ()),
-            (lambda r: np.cos(2.0 * r) / (1.0 + r * r) ** 2, TIGHT, (1.0,)),
-            (lambda r: 1e-9 * (1.0 + (1e3 * r) ** 2) ** -1.5, TIGHT, (1e-3,)),
-            (lambda r: np.sqrt(r) * np.exp(-r), TIGHT, ()),
+            (lambda r: r**2.0 * (1.0 + r * r) ** -3.0, TIGHT, (), DEPTH),
+            (lambda r: r**0.5 * (1.0 + r * r) ** -2.25, DEFAULT_CONFIG, (), DEPTH),
+            (lambda r: np.sin(3.0 * r) * np.exp(-r), TIGHT, (), DEPTH),
+            (lambda r: np.cos(2.0 * r) / (1.0 + r * r) ** 2, TIGHT, (1.0,), DEPTH),
+            (lambda r: 1e-9 * (1.0 + (1e3 * r) ** 2) ** -1.5, TIGHT, (1e-3,), DEPTH),
+            (lambda r: np.sqrt(r) * np.exp(-r), TIGHT, (), DEPTH),
             (
                 lambda r: (1.0 + r * r) ** -1.2345,
-                QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=6),
+                QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300),
                 (),
+                6,
             ),
         ],
         ids=["beta", "beta-default", "signed", "cos", "narrow", "sqrt", "frozen"],
     )
-    def test_half_line_matches_exact_rule(self, f, cfg, knots):
+    def test_half_line_matches_exact_rule(self, f, cfg, knots, depth, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", depth)
         expected = _exact_rule_reference(f, cfg, knots)
         try:
             res = integrate_half_line(f, cfg, knots=knots)
