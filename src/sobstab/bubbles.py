@@ -8,13 +8,14 @@ never discretized.  A pairing depends only on the conformal invariant of its
 two bubbles and is evaluated in closed form, as a Gauss hypergeometric
 function (_pair_kernel).  The critical norm ||u||_{2*} has no closed form and
 is integrated by quadrature: radial for CONCENTRIC configurations (all
-centers coincide), over (axial position, distance from the axis) for
-COLLINEAR ones (all centers on one line; at distance 0 when d = 1).  Any two
-centers lie on one line, so every two-bubble configuration has such a frame:
-_frame computes it once per call (geometry class, origin, unit axis, axial
-positions) for Superposition.geometry, lp_norm and the m-search.  The
-pairings hold for any centers; lp_norm and the m-search reject GENERAL
-center clouds.
+centers coincide) and for every pair, which is conformally equivalent to the
+concentric pair at its conformal ratio; over (axial position, distance from
+the axis) for COLLINEAR configurations of three or more terms (all centers
+on one line; at distance 0 when d = 1).  Any two centers lie on one line, so
+every two-bubble configuration has such a frame: _frame computes it once per
+call (geometry class, origin, unit axis, axial positions) for
+Superposition.geometry, lp_norm and the m-search.  The pairings hold for any
+centers; lp_norm and the m-search reject GENERAL center clouds.
 """
 
 from __future__ import annotations
@@ -319,42 +320,66 @@ def hs_norm_sq(u: Superposition) -> float:
     return hs_inner(u, u)
 
 
+def _log_conformal_ratio(b1: BubbleParam, b2: BubbleParam) -> float:
+    """log of the _conformal_ratio t of two bubbles, formed without t or the
+    squared center distance, so it stays finite for separations whose square
+    overflows: with u = log t, 4 sinh(u/2)^2 = t + 1/t - 2 =
+    (l1 - l2)^2/(l1 l2) + l1 l2 |x1 - x2|^2."""
+    g = math.sqrt(b1.scale) * math.sqrt(b2.scale)
+    gap = math.hypot(abs(b1.scale - b2.scale) / g, g * math.dist(b1.center, b2.center))
+    return 2.0 * math.asinh(0.5 * gap)
+
+
+def _radial_norm(amb: Ambient, cfg: QuadratureConfig, log_lams: list) -> float:
+    """||sum c_i B_{0, e^(l_i)}||_{2*} of concentric bubbles given as
+    (c_i, l_i) pairs, integrated radially in log-radius.  The largest
+    log-profile is factored out so the e^(d v) weight can never meet an
+    underflowed sum (0 * inf)."""
+    two_star = amb.two_star
+    bexp = amb.beta_exp
+    c_d = sharp_constants(amb).c_d
+    d = amb.d
+
+    def f(vs: np.ndarray) -> np.ndarray:
+        ls = np.stack([_log_profile(bexp, ll, vs) for _, ll in log_lams])
+        top = ls.max(axis=0)
+        acc = np.zeros_like(vs)
+        for (c, _), li in zip(log_lams, ls):
+            acc += c * np.exp(li - top)
+        return np.abs(c_d * acc) ** two_star * np.exp(two_star * top + d * vs)
+
+    knots = [-ll for _, ll in log_lams]
+    res = integrate_real_line(f, cfg, knots=knots)
+    total = sphere_area(d) * res.value
+    return total ** (1.0 / two_star)
+
+
 def lp_norm(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Critical Lebesgue norm ||u||_{2*} (signed coefficients supported).
 
     The one quantity without a closed form: integrated by adaptive
-    quadrature, for concentric or collinear centers only.
+    quadrature.  Concentric centers integrate radially.  So does every pair:
+    ||.||_{2*} is conformally invariant, and c1 B_1 + c2 B_2 is conformally
+    equivalent to the concentric pair c1 B_{0,1} + c2 B_{0,t} at their
+    conformal ratio t.  Three or more collinear centers use the
+    axisymmetric quadrature; other clouds are rejected.
     """
     check_config(cfg)
     amb = u.ambient
-    two_star = amb.two_star
-    bexp = amb.beta_exp
-    cst = sharp_constants(amb)
     geo, _, _, pos = _frame(u)
+    if geo is Geometry.CONCENTRIC:
+        return _radial_norm(amb, cfg, [(t.coeff, math.log(t.scale)) for t in u.terms])
+    if len(u.terms) == 2:
+        b1, b2 = u.terms
+        return _radial_norm(
+            amb, cfg, [(b1.coeff, 0.0), (b2.coeff, _log_conformal_ratio(b1, b2))]
+        )
     if geo is Geometry.GENERAL:
         raise GeometryError("lp_norm requires concentric or collinear centers")
 
-    if geo is Geometry.CONCENTRIC:
-        # log-radius form; the largest log-profile is factored out so the
-        # e^(d v) weight can never meet an underflowed sum (0 * inf).
-        d = amb.d
-        log_lams = [(t.coeff, math.log(t.scale)) for t in u.terms]
-
-        def f(vs: np.ndarray) -> np.ndarray:
-            ls = np.stack([_log_profile(bexp, ll, vs) for _, ll in log_lams])
-            top = ls.max(axis=0)
-            acc = np.zeros_like(vs)
-            for (c, _), li in zip(log_lams, ls):
-                acc += c * np.exp(li - top)
-            return np.abs(cst.c_d * acc) ** two_star * np.exp(
-                two_star * top + d * vs
-            )
-
-        knots = [-ll for _, ll in log_lams]
-        res = integrate_real_line(f, cfg, knots=knots)
-        total = sphere_area(amb.d) * res.value
-        return total ** (1.0 / two_star)
-
+    two_star = amb.two_star
+    bexp = amb.beta_exp
+    cst = sharp_constants(amb)
     axial = [(t.coeff, ti, t.scale) for t, ti in zip(u.terms, pos)]
 
     def f(t: np.ndarray, rhos: np.ndarray) -> np.ndarray:

@@ -52,6 +52,14 @@ COLLINEAR_PAIR = {
 }
 
 
+COLLINEAR_TRIPLE = {
+    "d": 3,
+    "s": 1.0,
+    "terms": COLLINEAR_PAIR["terms"]
+    + [{"coeff": -0.4, "center": [-1.5, 0.0, 0.0], "lambda": 2.0}],
+}
+
+
 class TestConstants:
     def test_json_payload(self, capsys):
         rc, out, _ = run(capsys, "constants", "--d", "3", "--s", "1")
@@ -168,6 +176,25 @@ class TestEval:
         assert 0.0 < doc["be_quotient"] < compare(AMB31).c_two_peak
         assert len(doc["m"]["all_local_maxima"]) == 2
 
+    def test_far_collinear_pair_quotient_is_positive(self, capsys, tmp_path):
+        """At separation 1e20 the pair has decoupled: its norm is
+        (1 + 0.5^6)^(1/6) up to an interaction of 1e-20, and the certified
+        quotient must stay positive."""
+        doc = {
+            "d": 3,
+            "s": 1.0,
+            "terms": [
+                {"coeff": 1.0, "center": [0.0, 0.0, 0.0], "lambda": 1.0},
+                {"coeff": -0.5, "center": [1e20, 0.0, 0.0], "lambda": 1.0},
+            ],
+        }
+        rc, out, _ = run(capsys, "eval", "--config", write_config(tmp_path, doc))
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["provenance"]["certified"] is True
+        assert doc["lp_norm"] == pytest.approx((1.0 + 0.5**6) ** (1.0 / 6.0), rel=1e-12)
+        assert doc["be_quotient"] > 0.0
+
     def test_missing_file_is_exit_2(self, capsys, tmp_path):
         rc, _, err = run(capsys, "eval", "--config", str(tmp_path / "nope.json"))
         assert rc == 2
@@ -205,12 +232,16 @@ class TestEval:
         assert doc["provenance"]["certified"] is False
         assert doc["error"].startswith("QuadratureNonConvergence")
 
+    @pytest.mark.parametrize(
+        "doc", [COLLINEAR_PAIR, COLLINEAR_TRIPLE], ids=["pair", "triple"]
+    )
     def test_unreachable_tolerance_collinear_is_exit_3_not_certified(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, doc
     ):
-        """The collinear lp_norm refines a batch of radial integrals in
-        lockstep; the first that cannot converge must end the run."""
-        cfgp = write_config(tmp_path, COLLINEAR_PAIR)
+        """A collinear pair integrates radially, at its conformal ratio; a
+        triple refines a batch of radial integrals in lockstep, and the first
+        that cannot converge must end the run."""
+        cfgp = write_config(tmp_path, doc)
         rc, out, err = run(
             capsys, "eval", "--config", cfgp,
             "--rel-tol", "1e-16", "--abs-tol", "1e-300",
