@@ -36,7 +36,6 @@ from .constants import (
 from .errors import (
     GeometryError,
     HypothesisError,
-    OptimizerError,
     ParameterError,
     QuadratureNonConvergence,
     SchemaError,
@@ -53,7 +52,6 @@ from .expansion import (
     derivative_check,
     sweep,
     sweep_point,
-    threshold_value,
     two_bubble,
 )
 from .functional import (
@@ -139,7 +137,6 @@ __all__ = [
     "derivative_check",
     "sweep",
     "sweep_point",
-    "threshold_value",
     "two_bubble",
     # thresholds
     "Binding",
@@ -161,6 +158,5 @@ __all__ = [
     "SchemaError",
     "GeometryError",
     "HypothesisError",
-    "OptimizerError",
     "QuadratureNonConvergence",
 ]

@@ -125,18 +125,18 @@ def _frame(u: Superposition) -> tuple[Geometry, np.ndarray, np.ndarray, np.ndarr
     centers = np.array([t.center for t in u.terms], dtype=float)
     p0 = centers[0]
     diffs = centers - p0
-    norms = np.linalg.norm(diffs, axis=1)
+    # hypot, unlike a sum of squares, cannot overflow on finite offsets.
+    norms = np.hypot.reduce(diffs, axis=1)
     extent = norms.max()
     if extent == 0.0:
         e = np.zeros(len(p0))
         e[0] = 1.0
         return Geometry.CONCENTRIC, p0, e, np.zeros(len(centers))
-    e = diffs[int(norms.argmax())]
-    e = e / np.linalg.norm(e)
+    e = diffs[int(norms.argmax())] / extent
     pos = diffs @ e
     if extent <= _CENTER_TOL * max(1.0, float(np.abs(centers).max())):
         geo = Geometry.CONCENTRIC
-    elif np.linalg.norm(diffs - pos[:, None] * e, axis=1).max() <= _CENTER_TOL * extent:
+    elif np.hypot.reduce(diffs - pos[:, None] * e, 1).max() <= _CENTER_TOL * extent:
         geo = Geometry.COLLINEAR
     else:
         geo = Geometry.GENERAL
@@ -271,8 +271,10 @@ def _pairings(
     centers = np.array([b.center for b in terms])
     scales = np.array([b.scale for b in terms])
     n = len(us)
-    r2 = np.square(centers[:n, None] - centers[n:]).sum(axis=-1)
-    return _pair_kernel(amb, _conformal_ratio(scales[:n, None], scales[n:], r2))
+    with np.errstate(over="ignore"):  # t overflows to inf, where F = 0
+        r2 = np.square(centers[:n, None] - centers[n:]).sum(axis=-1)
+        t = _conformal_ratio(scales[:n, None], scales[n:], r2)
+    return _pair_kernel(amb, t)
 
 
 def _pair_radial(amb: Ambient, axial: tuple, a, z) -> np.ndarray:
@@ -283,9 +285,9 @@ def _pair_radial(amb: Ambient, axial: tuple, a, z) -> np.ndarray:
     traced benchmark (bench/spans.py) counts its calls under this name."""
     coeffs, pos, lams = axial
     a, z = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(z, dtype=float))
-    t = _conformal_ratio(
-        lams[:, None], np.exp(z.ravel()), np.square(pos[:, None] - a.ravel())
-    )
+    with np.errstate(over="ignore"):  # t overflows to inf, where F = 0
+        r2 = np.square(pos[:, None] - a.ravel())
+        t = _conformal_ratio(lams[:, None], np.exp(z.ravel()), r2)
     return (coeffs @ _pair_kernel(amb, t)).reshape(a.shape)
 
 

@@ -42,15 +42,3 @@ class QuadratureNonConvergence(SobstabError):
         super().__init__(message)
         self.best = best
 
-
-class OptimizerError(SobstabError):
-    """A maximizer search did not converge.
-
-    No search in the toolkit raises it: the m-search is a fixed grid scan
-    with a bounded polish.  It stays exported so that callers' ``except``
-    clauses keep working.  Carries the best optimum found in :attr:`best`.
-    """
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best

@@ -95,7 +95,6 @@ class DerivativeCheck:
     lam: float
     h_fd: float
     f_prime: float
-    f_prime_half: float
     f_second: float
     f_second_half: float
     a_closed: float
@@ -116,14 +115,6 @@ class DerivativeCheck:
     @property
     def g_value_rel_err(self) -> float:
         return abs(self.g_value_scaled - self.c0_closed) / self.c0_closed
-
-    @property
-    def f_second_abs_err(self) -> float:
-        return abs(self.f_second - self.a_closed)
-
-    @property
-    def g_prime_abs_err(self) -> float:
-        return abs(self.g_prime_scaled - self.b_closed)
 
 
 def derivative_check(
@@ -157,7 +148,7 @@ def derivative_check(
         return (gp - gm) / (2.0 * h) / factor / lam_pow
 
     f_prime, f_second = stencil(h_fd)
-    f_prime_half, f_second_half = stencil(0.5 * h_fd)
+    _, f_second_half = stencil(0.5 * h_fd)
     g_prime_scaled = g_stencil(h_fd)
     g_prime_scaled_half = g_stencil(0.5 * h_fd)
     g_value_scaled = G_of(lam, 1.0, amb) / lam_pow
@@ -167,7 +158,6 @@ def derivative_check(
         lam=lam,
         h_fd=h_fd,
         f_prime=f_prime,
-        f_prime_half=f_prime_half,
         f_second=f_second,
         f_second_half=f_second_half,
         a_closed=cst.a_d,
@@ -211,12 +201,6 @@ class ExpansionReport:
     threshold: float
     excluded: tuple[tuple[float, str], ...]
     mu_bound_constant: float
-
-
-def threshold_value(amb: Ambient) -> float:
-    """The strict upper bound 2 - 2^(2/2*) that every sweep point must beat:
-    thresholds.two_peak_threshold, since 2/2* = (d-2s)/d."""
-    return two_peak_threshold(amb)
 
 
 def predicted_coefficient(amb: Ambient) -> float:
@@ -278,7 +262,7 @@ def assemble_report(
 ) -> ExpansionReport:
     """Least-squares fit of log(deficit) against log(lambda) with the
     documented exclusion rules."""
-    thr = threshold_value(amb)
+    thr = two_peak_threshold(amb)
     beta = amb.beta_exp
     floor = NOISE_FLOOR_FACTOR * cfg.rel_tol
     kept: list[ExpansionPoint] = []

@@ -96,10 +96,10 @@ class FunctionalReport:
 
 
 def _grid_peaks(q: np.ndarray) -> np.ndarray:
-    """Mask of the grid points that no 8-neighbour exceeds."""
+    """Mask of the positive grid points that no 8-neighbour exceeds."""
     n, k = q.shape
     pad = np.pad(q, 1, constant_values=-np.inf)
-    peak = q == q  # False at NaN
+    peak = q > 0.0  # False at NaN
     for i in range(3):
         for j in range(3):
             if (i, j) != (1, 1):
@@ -196,8 +196,9 @@ def m_value(u: Superposition) -> MOptimum:
     scale times an axial set: for same-sign concentric u the common center
     alone, where symmetric-decreasing rearrangement puts the maximizer;
     otherwise _AXIAL_PER_TERM points over each center +- _AXIAL_REACH widths
-    1/lambda_i and as many over the whole cloud.  Every grid point that no
-    neighbour exceeds is polished by trust-region Newton steps (_polish).
+    1/lambda_i and as many over the whole cloud.  Every positive grid point
+    that no neighbour exceeds is polished by trust-region Newton steps
+    (_polish).
     all_local_maxima lists the polished peaks, those closer than
     _CLUSTER_TOL in both axial position (in probe widths) and log scale
     merged to the best.

@@ -292,15 +292,22 @@ def _half_line_breaks(knots: Iterable[float] | None) -> list[float]:
     return sorted(ts)
 
 
+def _tail(g: Callable, origin: float, sign: float) -> Callable:
+    """g over the ray origin + sign * (0, inf), as an integrand on t in (0, 1)
+    under x = origin + sign * t/(1-t), with Jacobian 1/(1-t)^2."""
+
+    def gt(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        one_minus = 1.0 - ts
+        return g(rows, origin + sign * (ts / one_minus)) / (one_minus * one_minus)
+
+    return gt
+
+
 def _half_line_segments(
     g: Callable, breaks: list[float]
 ) -> list[tuple[Callable, float, float]]:
     """Segments integrating g over (0, inf) under the substitution r = t/(1-t)."""
-
-    def gt(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        one_minus = 1.0 - ts
-        return g(rows, ts / one_minus) / (one_minus * one_minus)
-
+    gt = _tail(g, 0.0, 1.0)
     return [(gt, a, b) for a, b in zip(breaks[:-1], breaks[1:])]
 
 
@@ -340,21 +347,9 @@ def integrate_real_line(
     if not ks or not all(math.isfinite(k) for k in ks):
         raise ParameterError("integrate_real_line requires finite, nonempty knots")
     g = _lift(f)
-    lo, hi = ks[0], ks[-1]
-
-    def g_left(rows: np.ndarray, us: np.ndarray) -> np.ndarray:
-        one_minus = 1.0 - us
-        return g(rows, lo - us / one_minus) / (one_minus * one_minus)
-
-    def g_right(rows: np.ndarray, us: np.ndarray) -> np.ndarray:
-        one_minus = 1.0 - us
-        return g(rows, hi + us / one_minus) / (one_minus * one_minus)
-
-    segments: list[tuple[Callable, float, float]] = []
-    for a, b in zip(ks[:-1], ks[1:]):
-        segments.append((g, a, b))
-    segments.append((g_left, 0.0, 1.0))
-    segments.append((g_right, 0.0, 1.0))
+    segments = [(g, a, b) for a, b in zip(ks[:-1], ks[1:])]
+    segments.append((_tail(g, ks[0], -1.0), 0.0, 1.0))
+    segments.append((_tail(g, ks[-1], 1.0), 0.0, 1.0))
     return _integrate_segments(segments, cfg)[0]
 
 

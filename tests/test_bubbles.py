@@ -514,6 +514,42 @@ class TestLpNorm:
         u = axis_pair(d, s, c2, x2, l2)
         assert lp_norm(u) == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "s, terms",
+        [
+            (0.25, [(1.0, 0.0, 1.0), (-0.5, 2.0, 0.5), (0.3, -1.0, 2.0)]),
+            (0.4, [(1.0, 0.0, 1.0), (0.8, 3.0, 2.0), (-0.6, -2.0, 0.7)]),
+            (0.1, [(1.0, 0.0, 1.0), (0.5, 5.0, 0.3), (0.7, -4.0, 3.0)]),
+        ],
+    )
+    def test_d1_three_terms_match_mpmath(self, s, terms):
+        """Three terms at d = 1 integrate |u|^(2*) over the real line; mpmath
+        at 30 digits, split at each center and one width 1/lambda to either
+        side.  The signed cases have 2* = 4 and 10, so |u|^(2*) has no kink
+        where u changes sign; the s = 0.1 case is of one sign."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            p = 2 / (1 - 2 * mp.mpf(s))
+            b = (1 - 2 * mp.mpf(s)) / 2
+            c_d = mp.pi ** (-1 / p)  # c_d^(2*) |S^0| B(1/2, 1/2) / 2 = 1
+
+            def density(x):
+                u = sum(
+                    c * mp.mpf(lam) ** b * (1 + (lam * (x - x0)) ** 2) ** -b
+                    for c, x0, lam in terms
+                )
+                return abs(c_d * u) ** p
+
+            breaks = sorted(
+                {x0 + k / mp.mpf(lam) for _, x0, lam in terms for k in (-1, 0, 1)}
+            )
+            mass = mp.quad(density, [-mp.inf] + breaks + [mp.inf])
+        u = Superposition(
+            Ambient(1, s),
+            tuple(BubbleParam(c, (x0,), lam) for c, x0, lam in terms),
+        )
+        assert lp_norm(u) == pytest.approx(float(mass ** (1 / p)), rel=1e-10)
+
     @pytest.mark.parametrize("sep", [1e6, 1e20, 1e200])
     def test_far_pair_meets_decoupled_limit(self, sep):
         """Far apart, the pair's norm tends to (1 + 0.5^(2*))^(1/2*), with an

@@ -195,6 +195,31 @@ class TestEval:
         assert doc["lp_norm"] == pytest.approx((1.0 + 0.5**6) ** (1.0 / 6.0), rel=1e-12)
         assert doc["be_quotient"] > 0.0
 
+    def test_far_pair_past_float_range_squared(self, capsys, tmp_path):
+        """At separation 1e200 the squared separation overflows; the report
+        must equal the decoupled one at 1e20, with nothing on stderr."""
+        docs = []
+        for sep in (1e20, 1e200):
+            cfg = {
+                "d": 3,
+                "s": 1.0,
+                "terms": [
+                    {"coeff": 1.0, "center": [0.0, 0.0, 0.0], "lambda": 1.0},
+                    {"coeff": -0.5, "center": [sep, 0.0, 0.0], "lambda": 1.0},
+                ],
+            }
+            rc, out, err = run(
+                capsys, "eval", "--config", write_config(tmp_path, cfg)
+            )
+            assert rc == 0
+            assert err == ""
+            docs.append(json.loads(out))
+        near, far = docs
+        assert far["provenance"]["certified"] is True
+        assert far["m"]["value"] == pytest.approx(1.0, abs=1e-12)
+        assert far["m"]["maximizer"] == near["m"]["maximizer"]
+        assert far["be_quotient"] == pytest.approx(near["be_quotient"], abs=1e-12)
+
     def test_missing_file_is_exit_2(self, capsys, tmp_path):
         rc, _, err = run(capsys, "eval", "--config", str(tmp_path / "nope.json"))
         assert rc == 2
@@ -364,6 +389,29 @@ class TestExpand:
         assert rc == 2
         assert "lambda" in err
 
+    def test_out_writes_csv_and_prints_fit(self, capsys, tmp_path):
+        """With --out the CSV goes to the file and the fit JSON to stdout;
+        without it, one stream carries the CSV and the fit as comments."""
+        args = ("expand", "--d", "3", "--s", "1", "--lambda", EXPAND_GRID)
+        _, single_stream, _ = run(capsys, *args)
+        target = tmp_path / "e.csv"
+        rc, out, _ = run(capsys, *args, "--out", str(target))
+        assert rc == 0
+        assert set(json.loads(out)) == {"fit"}
+        fit_comments = "".join(f"# {line}\n" for line in out.rstrip().split("\n"))
+        assert single_stream == target.read_text() + fit_comments
+
+    def test_unreachable_tolerance_is_exit_3_not_certified(self, capsys):
+        rc, out, _ = run(
+            capsys, "expand", "--d", "3", "--s", "1", "--lambda", "1e-3,1e-4",
+            "--rel-tol", "1e-16", "--abs-tol", "1e-300",
+        )
+        assert rc == 3
+        doc = json.loads(out)
+        assert doc["provenance"]["certified"] is False
+        assert doc["provenance"]["ambient"] == {"d": 3, "s": 1.0}
+        assert doc["error"].startswith("QuadratureNonConvergence")
+
 
 class TestSweepGrid:
     def test_small_grid(self, capsys):
@@ -426,6 +474,22 @@ class TestSweepGrid:
         assert out == ""
         assert err.startswith("error:") and value in err
 
+    def test_unreachable_tolerance_is_exit_3_with_failed_row(self, capsys):
+        rc, out, err = run(
+            capsys, "sweep-grid", "--d", "3", "--s", "1",
+            "--c2", "1.0", "--lambda", "0.5", "--separation", "0",
+            "--rel-tol", "1e-16", "--abs-tol", "1e-300",
+        )
+        assert rc == 3
+        lines = out.splitlines()
+        assert "# certified: false" in lines
+        _, row = [ln for ln in lines if ln and not ln.startswith("#")]
+        cells = row.split(",")
+        assert cells[:3] == ["1.0", "0.5", "0.0"]
+        assert cells[3].startswith("QuadratureNonConvergence: ")
+        assert cells[4:] == [""] * 7
+        assert err == "sweep-grid: 1 grid point(s) failed\n"
+
 
 class TestParser:
     def test_version(self, capsys):
@@ -438,6 +502,27 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["expand", "--d", "3", "--s", "1", "--lambda", "1e-2,abc"],
+                "error: --lambda: could not parse '1e-2,abc' as floats",
+            ),
+            (
+                ["sweep-grid", "--d", "3", "--s", "1", "--c2", ",",
+                 "--lambda", "0.5", "--separation", "0"],
+                "error: --c2: empty list",
+            ),
+        ],
+        ids=["unparsable", "empty"],
+    )
+    def test_bad_float_list_is_exit_2(self, capsys, argv, message):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err == message + "\n"
 
 
 def _eval_probe(doc):

@@ -20,10 +20,10 @@ from sobstab.expansion import (
     predicted_coefficient,
     sweep,
     sweep_point,
-    threshold_value,
     two_bubble,
 )
 from sobstab.quadrature import QuadratureConfig
+from sobstab.thresholds import two_peak_threshold
 
 AMB31 = Ambient(3, 1.0)
 AMB51 = Ambient(5, 1.0)
@@ -124,7 +124,7 @@ class TestTwoBubbleFamily:
 class TestThresholdAndPrediction:
     def test_threshold_closed_form(self):
         amb = AMB31
-        assert threshold_value(amb) == pytest.approx(
+        assert two_peak_threshold(amb) == pytest.approx(
             2.0 - 2.0 ** ((amb.d - 2.0 * amb.s) / amb.d), rel=1e-15
         )
 
@@ -175,7 +175,7 @@ class TestAssembleReport:
 
     def test_recovers_exact_power_law(self):
         amb = AMB31
-        thr = threshold_value(amb)
+        thr = two_peak_threshold(amb)
         coef = 0.875
         pts = [
             synthetic_point(amb, lam, thr - coef * lam**amb.beta_exp)
@@ -190,7 +190,7 @@ class TestAssembleReport:
 
     def test_on_manifold_points_excluded(self):
         amb = AMB31
-        thr = threshold_value(amb)
+        thr = two_peak_threshold(amb)
         pts = [
             synthetic_point(amb, lam, thr - 0.9 * lam**amb.beta_exp)
             for lam in self.lam_grid()
@@ -201,7 +201,7 @@ class TestAssembleReport:
 
     def test_nonpositive_deficit_warns_and_excludes(self):
         amb = AMB31
-        thr = threshold_value(amb)
+        thr = two_peak_threshold(amb)
         pts = [
             synthetic_point(amb, lam, thr - 0.9 * lam**amb.beta_exp)
             for lam in self.lam_grid()
@@ -213,7 +213,7 @@ class TestAssembleReport:
 
     def test_noise_floor_exclusion(self):
         amb = AMB31
-        thr = threshold_value(amb)
+        thr = two_peak_threshold(amb)
         pts = [
             synthetic_point(amb, lam, thr - 0.9 * lam**amb.beta_exp)
             for lam in self.lam_grid()
@@ -224,7 +224,7 @@ class TestAssembleReport:
 
     def test_too_few_points_rejected(self):
         amb = AMB31
-        thr = threshold_value(amb)
+        thr = two_peak_threshold(amb)
         pts = [
             synthetic_point(amb, lam, thr - 0.9 * lam**amb.beta_exp)
             for lam in (1e-2, 1e-3, 1e-4)
@@ -234,7 +234,7 @@ class TestAssembleReport:
 
     def test_narrow_span_rejected(self):
         amb = AMB31
-        thr = threshold_value(amb)
+        thr = two_peak_threshold(amb)
         pts = [
             synthetic_point(amb, lam, thr - 0.9 * lam**amb.beta_exp)
             for lam in np.geomspace(1e-3, 5e-3, 6)

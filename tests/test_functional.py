@@ -158,6 +158,34 @@ class TestCollinear:
         assert xs[0] == pytest.approx(0.0, abs=0.5)
         assert xs[1] == pytest.approx(60.0, abs=0.5)
 
+    @pytest.mark.parametrize("sep", [1e160, 1e200])
+    def test_far_pair_where_separation_squared_overflows(self, sep):
+        """Past sep ~ 1e154 the squared separation overflows.  The pair
+        (1 at 0, -0.5 at sep e_1), lambda 1, has decoupled as it has at
+        sep = 1e20: m is the unit bubble's own pairing, 1, and the only other
+        maximum is the second bubble's, 0.25, not a plateau of pairings that
+        underflow to 0."""
+
+        def report(x):
+            return functional_report(
+                Superposition(
+                    AMB31,
+                    (
+                        BubbleParam(1.0, ORIGIN3, 1.0),
+                        BubbleParam(-0.5, (x, 0.0, 0.0), 1.0),
+                    ),
+                )
+            )
+
+        rep = report(sep)
+        assert rep.m.value == pytest.approx(1.0, abs=1e-12)
+        assert rep.be_quotient == pytest.approx(report(1e20).be_quotient, abs=1e-12)
+        best = rep.m.maximizer
+        assert best.center == pytest.approx(ORIGIN3, abs=1e-12)
+        assert best.scale == pytest.approx(1.0, abs=1e-12)
+        values = [v for _, v in rep.m.all_local_maxima]
+        assert values == pytest.approx([1.0, 0.25], abs=1e-12)
+
     def test_dist_positive_for_separated_pair(self):
         u = Superposition(
             AMB31,
