@@ -364,7 +364,8 @@ def lp_norm(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     ||.||_{2*} is conformally invariant, and c1 B_1 + c2 B_2 is conformally
     equivalent to the concentric pair c1 B_{0,1} + c2 B_{0,t} at their
     conformal ratio t.  Three or more collinear centers use the
-    axisymmetric quadrature; other clouds are rejected.
+    axisymmetric quadrature, in cells around each center, for every d;
+    other clouds are rejected.
     """
     check_config(cfg)
     amb = u.ambient
@@ -384,32 +385,19 @@ def lp_norm(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     cst = sharp_constants(amb)
     axial = [(t.coeff, ti, t.scale) for t, ti in zip(u.terms, pos)]
 
-    def f(t: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-        """|u|^(2*) at axial position t and distance rho from the axis."""
+    def f(c: float, s: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+        """|u|^(2*) at axial position c + s and distance rho from the axis."""
         rho2 = rhos * rhos
         acc = np.zeros_like(rhos)
-        for c, ti, lam in axial:
-            z2 = lam * lam * ((t - ti) ** 2 + rho2)
-            acc += c * lam**bexp * (1.0 + z2) ** (-bexp)
+        with np.errstate(over="ignore"):  # a far bubble's profile is then 0
+            for coeff, ti, lam in axial:
+                z2 = lam * lam * ((s + (c - ti)) ** 2 + rho2)
+                acc += coeff * lam**bexp * (1.0 + z2) ** (-bexp)
         return np.abs(cst.c_d * acc) ** two_star
 
-    # Axial knots at each center and one bubble width 1/lambda to either
-    # side; radial knots bracketing each width, so that a narrow or far
-    # feature is enclosed by a segment of comparable size.
-    widths = 1.0 / np.array([t.scale for t in u.terms])
-    axial_knots = np.concatenate([pos - widths, pos, pos + widths])
-    if amb.d == 1:
-        res = integrate_real_line(
-            lambda xs: f(xs, np.zeros_like(xs)), cfg, knots=axial_knots
-        )
-    else:
-        res = integrate_axisymmetric(
-            f,
-            amb,
-            cfg,
-            axial_knots=axial_knots,
-            radial_knots=np.concatenate([0.25 * widths, widths, 4.0 * widths]),
-        )
+    res = integrate_axisymmetric(
+        f, amb, cfg, centers=pos, widths=[1.0 / t.scale for t in u.terms]
+    )
     return res.value ** (1.0 / two_star)
 
 

@@ -496,9 +496,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParameterError, GeometryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except QuadratureNonConvergence as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return 3
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
 from scipy.special import gammaln
 
 from .errors import ParameterError
@@ -199,13 +200,16 @@ def sharp_constants(amb: Ambient) -> SharpConstants:
     """All constants for one ambient, computed eagerly and cached.
 
     Raises ParameterError when d is so large that a constant leaves the
-    float range (overflows, or underflows to 0).
+    float range (overflows, or underflows to 0), or that d + 2s rounds to d.
     """
     try:
-        c0, a_d, b_d = appendix_constants(amb)
-        c_d, A_ds, S_d = normalization_c(amb), _eigen_factor(amb), sharp_constant(amb)
+        # Past the float range the log-Gamma sums are inf - inf = nan.
+        with np.errstate(invalid="ignore", over="ignore"):
+            c0, a_d, b_d = appendix_constants(amb)
+            c_d, A_ds = normalization_c(amb), _eigen_factor(amb)
+            S_d = sharp_constant(amb)
         values = (c_d, A_ds, S_d, c0, a_d, b_d)
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, ParameterError):
         values = (math.nan,)
     if not all(math.isfinite(v) and v != 0.0 for v in values):
         raise ParameterError(

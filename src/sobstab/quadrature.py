@@ -1,26 +1,24 @@
 """Deterministic adaptive quadrature on the half-line, the real line, and
-axisymmetric two-center geometry.
+axisymmetric geometry about an axis through any number of centers.
 
 One engine underlies everything: a 15-point Kronrod rule with its embedded
 7-point Gauss estimate, applied to panels of a transformed integrand and
 refined adaptively (worst panel first, split at the midpoint).  Semi-infinite
-directions are compactified with the algebraic substitution r = t/(1-t),
-which maps the algebraic decay of every integrand in this toolkit (r^-(d+2s)
-or faster) to regular integrable endpoint behavior -- no cutoff parameter.
+directions are compactified algebraically, r = t/(1-t), which maps the
+algebraic decay of every integrand here (r^-(d+2s) or faster) to regular
+endpoint behavior -- no cutoff parameter.  The axisymmetric integrator cuts
+the axis midway between its centers and compactifies each half-cell the same
+way from its own center, so each bubble is resolved however far the others.
 
 The engine refines a batch of integrals over the same initial segments in
 lockstep: each step splits the worst panel of every integral not yet
 converged and evaluates all the new panels in one vectorized call.  Each
 integral keeps the panel order, subdivision limits and termination rule it
-would have alone, so its result does not depend on the batch.  The half-line
-and real-line integrators are batches of one; the axisymmetric integrator
-runs the radial integrals at the nodes of each axial panel as one batch.
+would have alone, so its result does not depend on the batch.  The radial
+integrals at the nodes of an axial panel are one such batch.
 
 Half-line and real-line integrands are numpy-vectorized: each call receives
 a 1-D ndarray of nodes and must return an array of the same shape.
-Multi-scale integrands (superpositions of bubbles at scales lambda_i) should
-pass the characteristic radii through ``knots`` so the initial panels already
-separate the scales.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .constants import Ambient, sphere_area
-from .errors import GeometryError, ParameterError, QuadratureNonConvergence
+from .errors import ParameterError, QuadratureNonConvergence
 
 __all__ = [
     "QuadratureConfig",
@@ -281,33 +279,43 @@ def _integrate_segments(
     return results
 
 
-def _half_line_breaks(knots: Iterable[float] | None) -> list[float]:
-    """Initial panel boundaries in t-space for the r = t/(1-t) substitution."""
-    ts = {0.0, 0.5, 1.0}
-    if knots is not None:
-        for r in knots:
-            r = float(r)
-            if r > 0.0 and math.isfinite(r):
-                ts.add(r / (1.0 + r))
-    return sorted(ts)
-
-
-def _tail(g: Callable, origin: float, sign: float) -> Callable:
-    """g over the ray origin + sign * (0, inf), as an integrand on t in (0, 1)
-    under x = origin + sign * t/(1-t), with Jacobian 1/(1-t)^2."""
+def _tail(g: Callable, sign: float, length: float = math.inf) -> Callable:
+    """g over the offsets sign * (0, length) as an integrand on t in (0, 1):
+    the offset is sign * h t/q, q = 1 - (1 - h/length) t, h = min(1, length),
+    with Jacobian h/q^2, of which g(rows, offset, q) applies 1/q^2.  An
+    infinite length gives r = t/(1-t); a finite one ends at exactly the
+    length, however far, and one shorter than 1 maps linearly."""
+    h = min(1.0, length)
+    kappa = 1.0 - h / length
 
     def gt(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        one_minus = 1.0 - ts
-        return g(rows, origin + sign * (ts / one_minus)) / (one_minus * one_minus)
+        q = 1.0 - kappa * ts
+        return h * g(rows, sign * (h * ts / q), q)
 
     return gt
 
 
-def _half_line_segments(
-    g: Callable, breaks: list[float]
+def _over_q2(g: Callable) -> Callable:
+    """g(rows, x) as a _tail integrand, times the Jacobian."""
+    return lambda rows, v, q: g(rows, v) / (q * q)
+
+
+def _tail_segments(
+    g: Callable,
+    sign: float,
+    knots: Iterable[float] | None,
+    length: float = math.inf,
 ) -> list[tuple[Callable, float, float]]:
-    """Segments integrating g over (0, inf) under the substitution r = t/(1-t)."""
-    gt = _tail(g, 0.0, 1.0)
+    """Initial segments of _tail(g, sign, length), split at t = 1/2 and at
+    the image of every knot in (0, length)."""
+    h = min(1.0, length)
+    kappa = 1.0 - h / length
+    breaks = {0.0, 0.5, 1.0}
+    for r in map(float, knots or ()):
+        if 0.0 < r < length:
+            breaks.add(r / (h + kappa * r))
+    breaks = sorted(breaks)
+    gt = _tail(g, sign, length)
     return [(gt, a, b) for a, b in zip(breaks[:-1], breaks[1:])]
 
 
@@ -326,7 +334,7 @@ def integrate_half_line(
     QuadratureNonConvergence (carrying the best estimate) if the tolerance
     cannot be met within the subdivision budget.
     """
-    segments = _half_line_segments(_lift(f), _half_line_breaks(knots))
+    segments = _tail_segments(_over_q2(_lift(f)), 1.0, knots)
     return _integrate_segments(segments, cfg)[0]
 
 
@@ -348,9 +356,49 @@ def integrate_real_line(
         raise ParameterError("integrate_real_line requires finite, nonempty knots")
     g = _lift(f)
     segments = [(g, a, b) for a, b in zip(ks[:-1], ks[1:])]
-    segments.append((_tail(g, ks[0], -1.0), 0.0, 1.0))
-    segments.append((_tail(g, ks[-1], 1.0), 0.0, 1.0))
+    lo, hi = ks[0], ks[-1]
+    left = _tail(_over_q2(lambda rows, v: g(rows, lo + v)), -1.0)
+    right = _tail(_over_q2(lambda rows, v: g(rows, hi + v)), 1.0)
+    segments += [(left, 0.0, 1.0), (right, 0.0, 1.0)]
     return _integrate_segments(segments, cfg)[0]
+
+
+# A half-cell's initial breaks lie at most this ratio apart: on a panel from
+# offset a to b >> a the outermost Kronrod node sits near a / 0.0043, so a
+# wider gap would leave the panel's far end unseen.
+_KNOT_RATIO = 64.0
+# No break past this offset: its image lies so close to t = 1 that the nodes
+# of a panel ending at 1 would round to 1.
+_KNOT_MAX = 2.0**40
+
+
+def _cell_segments(
+    profile: Callable, centers: list[float], widths: list[float]
+) -> list[tuple[Callable, float, float]]:
+    """Initial segments of the axis cut midway between consecutive distinct
+    centers, each half-cell a _tail of profile(c) from its own center c.
+
+    A feature at x of width w shows from c at the offset max(|x - c|, w); a
+    half-cell breaks there, and a geometric ladder keeps its breaks within
+    _KNOT_RATIO up to its end (a tail's: its last break)."""
+    cs = sorted(set(centers))
+    mids = [0.5 * a + 0.5 * b for a, b in zip(cs[:-1], cs[1:])]
+    segments = []
+    for c, lo, hi in zip(cs, [-math.inf] + mids, mids + [math.inf]):
+        shows = {max(abs(x - c), w) for x, w in zip(centers, widths)}
+        for sign, length in ((-1.0, c - lo), (1.0, hi - c)):
+            if length == 0.0:
+                continue  # the midpoint rounded onto c
+            top = min(length, _KNOT_MAX)
+            knots = sorted(r for r in shows if 0.0 < r < top)
+            if length < math.inf:
+                knots.append(top)
+            ladder = list(knots)
+            for a, b in zip(knots, knots[1:]):
+                n = math.ceil((math.log(b) - math.log(a)) / math.log(_KNOT_RATIO))
+                ladder += [a ** (1 - k / n) * b ** (k / n) for k in range(1, n)]
+            segments += _tail_segments(profile(c), sign, ladder, length)
+    return segments
 
 
 def integrate_axisymmetric(
@@ -358,49 +406,65 @@ def integrate_axisymmetric(
     amb: Ambient,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
-    axial_knots: Sequence[float] = (0.0,),
-    radial_knots: Iterable[float] | None = None,
+    centers: Sequence[float] = (0.0,),
+    widths: Sequence[float] | None = None,
 ) -> QuadratureResult:
-    """Integrate an axisymmetric integrand f(t, rho) over R^d, d >= 2:
+    """Integrate an axisymmetric integrand over R^d,
 
-        integral = |S^{d-2}| * int_R int_0^inf f(t, rho) rho^(d-2) drho dt
+        |S^{d-2}| * int_R int_0^inf f(c, s, rho) rho^(d-2) drho dx,
 
-    with t the axial coordinate and rho >= 0 the distance from the axis
-    (for d = 2 the angular factor is |S^0| = 2 and the rho-weight is 1).
-    f must broadcast over a column of axial values t, shape (m, 1), and a
-    matrix of radii rho, shape (m, 15), returning shape (m, 15).  The radial
-    integrals at the 15 nodes of an axial panel refine together as one
-    lockstep batch, at 10x tighter relative tolerance so the outer error
-    estimate stays meaningful.
+    at axial position x = c + s and distance rho >= 0 from the axis (at d = 2
+    the angular factor is |S^0| = 2; at d = 1 the result is int_R f(c, s, 0)).
+    The axis is cut midway between consecutive ``centers`` (finite,
+    nonempty) and each half-cell runs from its own center c, so f receives c
+    and the offset s apart and can form the distance to a feature there
+    exactly.  ``widths`` (one per center, >= 0) place the initial breaks
+    (see _cell_segments) and split each radial integral at a quarter, one
+    and four widths.  f must broadcast over offsets of shape (m, 1) and radii
+    of shape (m, 15) to shape (m, 15).  The radial integrals at the 15 nodes
+    of an axial panel refine as one lockstep batch, at 10x tighter tolerance,
+    with the axial Jacobian inside so the inner abs_tol is on the outer scale.
     """
-    if amb.d < 2:
-        raise GeometryError(
-            "axisymmetric reduction requires d >= 2; for d = 1 integrate over "
-            "the real line split at the centers"
+    xs = [float(x) for x in centers]
+    ws = [0.0] * len(xs) if widths is None else [float(r) for r in widths]
+    if not xs or len(ws) != len(xs) or not all(
+        math.isfinite(x) and 0.0 <= r < math.inf for x, r in zip(xs, ws)
+    ):
+        raise ParameterError(
+            "integrate_axisymmetric requires finite, nonempty centers and one "
+            "finite width >= 0 per center"
         )
     inner_cfg = QuadratureConfig(rel_tol=cfg.rel_tol * 0.1, abs_tol=cfg.abs_tol * 0.1)
     w = amb.d - 2
-    breaks = _half_line_breaks(radial_knots)
+    radial_knots = [k * r for r in ws for k in (0.25, 1.0, 4.0)]
     inner_evals = 0
 
-    def radial(t_col: np.ndarray) -> list[QuadratureResult]:
-        def g(rows: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-            vals = np.asarray(f(t_col[rows], rhos), dtype=float)
-            return vals * rhos**w if w else vals
+    def profile(c: float) -> Callable:
+        if w < 0:
+            return lambda rows, ss, q: f(c, ss, np.zeros_like(ss)) / (q * q)
 
-        segments = _half_line_segments(g, breaks)
-        return _integrate_segments(segments, inner_cfg, len(t_col))
+        def g(rows: np.ndarray, ss: np.ndarray, q: np.ndarray) -> np.ndarray:
+            nonlocal inner_evals
+            out = np.empty_like(ss)
+            # One batch per axial panel, so that when a radial integral cannot
+            # converge, at most 14 others have refined alongside it.
+            cols = zip(ss[:, :, None], (q * q)[:, :, None])
+            for k, (s_col, q2) in enumerate(cols):
 
-    def profile(ts: np.ndarray) -> np.ndarray:
-        nonlocal inner_evals
-        # One batch per axial panel, so that when a radial integral cannot
-        # converge, at most 14 others have refined alongside it.
-        inner = [r for tp in ts.reshape(-1, len(_NODES)) for r in radial(tp[:, None])]
-        inner_evals += sum(r.evaluations for r in inner)
-        return np.array([r.value for r in inner])
+                def radial(rows: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+                    vals = np.asarray(f(c, s_col[rows], rhos), dtype=float)
+                    return (vals * rhos**w if w else vals) / q2[rows]
 
-    outer = integrate_real_line(profile, cfg, knots=axial_knots)
-    area = sphere_area(amb.d - 1)
+                segments = _tail_segments(_over_q2(radial), 1.0, radial_knots)
+                inner = _integrate_segments(segments, inner_cfg, len(s_col))
+                inner_evals += sum(r.evaluations for r in inner)
+                out[k] = [r.value for r in inner]
+            return out
+
+        return g
+
+    outer = _integrate_segments(_cell_segments(profile, xs, ws), cfg)[0]
+    area = 1.0 if w < 0 else sphere_area(amb.d - 1)
     return QuadratureResult(
         area * outer.value,
         area * outer.error_estimate,

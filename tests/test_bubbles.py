@@ -232,6 +232,11 @@ class TestEvaluate:
             evaluate(u1, y) + evaluate(u2, y), rel=1e-14
         )
 
+    @pytest.mark.parametrize("y", [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0)])
+    def test_point_length_must_match_d(self, y):
+        with pytest.raises(ParameterError, match="3 coordinates"):
+            evaluate(single(AMB31), y)
+
 
 class TestConformalActions:
     def test_dilate_pointwise(self):
@@ -260,6 +265,11 @@ class TestConformalActions:
         back = invert(invert(u, 1.5), 1.5)
         for t0, t1 in zip(u.terms, back.terms):
             assert t1.scale == pytest.approx(t0.scale, rel=1e-15)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+    def test_invert_validation(self, tau):
+        with pytest.raises(ParameterError, match="inversion radius"):
+            invert(single(AMB31), tau)
 
     def test_invert_requires_origin_centers(self):
         u = single(AMB31, center=(1.0, 0.0, 0.0))
@@ -297,6 +307,10 @@ class TestConformalActions:
 
 
 class TestPairings:
+    def test_probe_center_length_must_match_d(self):
+        with pytest.raises(ParameterError, match="dimension"):
+            pair_against_bubble(single(AMB31), BubbleParam(1.0, (0.0, 0.0), 1.0))
+
     def test_self_pairing_is_one(self):
         for scale in (1.0, 0.01, 100.0):
             u = single(AMB31, scale=scale)
@@ -520,13 +534,16 @@ class TestLpNorm:
             (0.25, [(1.0, 0.0, 1.0), (-0.5, 2.0, 0.5), (0.3, -1.0, 2.0)]),
             (0.4, [(1.0, 0.0, 1.0), (0.8, 3.0, 2.0), (-0.6, -2.0, 0.7)]),
             (0.1, [(1.0, 0.0, 1.0), (0.5, 5.0, 0.3), (0.7, -4.0, 3.0)]),
+            (0.25, [(1.0, 0.0, 1.0), (0.5, 1e-8, 1.0), (0.3, 1.0, 1.0)]),
         ],
     )
     def test_d1_three_terms_match_mpmath(self, s, terms):
         """Three terms at d = 1 integrate |u|^(2*) over the real line; mpmath
         at 30 digits, split at each center and one width 1/lambda to either
         side.  The signed cases have 2* = 4 and 10, so |u|^(2*) has no kink
-        where u changes sign; the s = 0.1 case is of one sign."""
+        where u changes sign; the s = 0.1 case is of one sign.  In the last
+        case two centers lie 1e-8 apart, so two half-cells are far shorter
+        than the bubbles they hold."""
         mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
             p = 2 / (1 - 2 * mp.mpf(s))
@@ -559,24 +576,93 @@ class TestLpNorm:
         far = (1.0 + 0.5**6) ** (1.0 / 6.0)
         assert lp_norm(u) == pytest.approx(far, rel=1e-12, abs=1.0 / sep)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the axisymmetric lp_norm of a far-separated collinear triple "
-        "is 3.3% below its decoupled limit at separation 1e6 and 110% above "
-        "it at 1e20, and no quadrature error is raised",
-    )
     def test_far_triple_meets_decoupled_limit(self):
         """(1 at 0, -0.5 at sep e_1, 0.3 at -sep e_1), all of scale 1: far
         apart the norm tends to (1 + 0.5^6 + 0.3^6)^(1/6), with an
-        interaction of size 1/sep."""
+        interaction of size 1/sep.  Past sep = 1e14 the image of a
+        separation as a panel break would round to the end of its tail; at
+        1e200 the squared separation overflows."""
         far = (1.0 + 0.5**6 + 0.3**6) ** (1.0 / 6.0)
-        for sep in (1e6, 1e20):
+        for sep in (1e6, 1e15, 1e20, 1e200):
             u = on_line(
                 [(1.0, 0.0, 1.0), (-0.5, sep, 1.0), (0.3, -sep, 1.0)],
                 ORIGIN3,
                 (1.0, 0.0, 0.0),
             )
             assert lp_norm(u) == pytest.approx(far, rel=1e-12, abs=1.0 / sep)
+
+    @pytest.mark.parametrize("d, s", [(1, 0.25), (3, 1.0)])
+    @pytest.mark.parametrize(
+        "terms, merged",
+        [
+            (
+                [(1.0, 0.0), (0.5, 1.0), (0.3, math.nextafter(1.0, 2.0))],
+                [(1.0, 0.0), (0.8, 1.0)],
+            ),
+            ([(1.0, 0.0), (0.5, 5e-324), (0.3, 1.0)], [(1.5, 0.0), (0.3, 1.0)]),
+        ],
+        ids=["adjacent-floats", "subnormal-gap"],
+    )
+    def test_centers_one_float_apart(self, d, s, terms, merged):
+        """Two centers one float apart leave a half-cell of length 0 between
+        them; the triple must equal the pair that adds their coefficients."""
+
+        def superpose(pairs):
+            return Superposition(
+                Ambient(d, s),
+                tuple(BubbleParam(c, (x,) + (0.0,) * (d - 1), 1.0) for c, x in pairs),
+            )
+
+        assert lp_norm(superpose(terms)) == pytest.approx(
+            lp_norm(superpose(merged)), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("sep", [1e20, 1e200])
+    @pytest.mark.parametrize("s", [0.25, 0.4])
+    def test_far_d1_triple_meets_decoupled_limit(self, s, sep):
+        """The same triple at d = 1, where a bubble decays only as
+        |x|^(-(1-2s)): the interaction is of size sep^(-(1-2s)), 1e-4 at
+        s = 0.4 and sep = 1e20."""
+        p = 2.0 / (1.0 - 2.0 * s)
+        far = (1.0 + 0.5**p + 0.3**p) ** (1.0 / p)
+        terms = ((1.0, 0.0, 1.0), (-0.5, sep, 1.0), (0.3, -sep, 1.0))
+        u = Superposition(
+            Ambient(1, s), tuple(BubbleParam(c, (x,), lam) for c, x, lam in terms)
+        )
+        assert lp_norm(u) == pytest.approx(
+            far, rel=1e-12, abs=sep ** -(1.0 - 2.0 * s)
+        )
+
+    def test_far_d1_triple_matches_mpmath(self):
+        """At d = 1, s = 0.4 and sep = 1e6 the far fields of the outer
+        bubbles still carry mass between 1e3 and 1e6 from each center, where
+        no break of a width-sized panel reaches.  mpmath at 30 digits, split
+        at each center and at offsets 4^k from it, gives
+        0.985294218180269776."""
+        mp = pytest.importorskip("mpmath")
+        s, sep = 0.4, 1e6
+        terms = ((1.0, 0.0, 1.0), (-0.5, sep, 1.0), (0.3, -sep, 1.0))
+        with mp.workdps(30):
+            p = 2 / (1 - 2 * mp.mpf(s))
+            b = (1 - 2 * mp.mpf(s)) / 2
+            c_d = mp.pi ** (-1 / p)
+
+            def density(x):
+                u = sum(c * (1 + (x - x0) ** 2) ** -b for c, x0, _ in terms)
+                return abs(c_d * u) ** p
+
+            breaks = sorted(
+                {mp.mpf(x0) + sign * 4**k for _, x0, _ in terms for sign in (-1, 1)
+                 for k in range(-1, 11)}
+                | {mp.mpf(x0) for _, x0, _ in terms}
+            )
+            mass = mp.quad(density, [-mp.inf] + breaks + [mp.inf])
+            expected = float(mass ** (1 / p))
+        assert expected == pytest.approx(0.985294218180269776, abs=1e-15)
+        u = Superposition(
+            Ambient(1, s), tuple(BubbleParam(c, (x,), lam) for c, x, lam in terms)
+        )
+        assert lp_norm(u) == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize(
         "d, s, terms",
@@ -671,6 +757,7 @@ class TestSchema:
              "terms[0].coeff"),
             ({"d": 3, "s": 10**400, "terms": []}, "s:"),
             ({"d": 10**400, "s": 1, "terms": []}, "d:"),
+            ({"d": 3, "s": 1.0, "terms": [[1, [0, 0, 0], 1]]}, "terms[0]"),
         ],
     )
     def test_schema_errors_name_fields(self, doc, field):

@@ -225,6 +225,14 @@ class TestEval:
         assert rc == 2
         assert "error:" in err
 
+    def test_malformed_json_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"d": 3, "s": 1.0, "terms": [')
+        rc, out, err = run(capsys, "eval", "--config", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: malformed JSON in ")
+
     def test_schema_error_names_field(self, capsys, tmp_path):
         cfgp = write_config(tmp_path, {"d": 3, "s": 1.0, "terms": [{}]})
         rc, _, err = run(capsys, "eval", "--config", cfgp)

@@ -78,7 +78,10 @@ class TestBetaHalfLine:
         # integral of (1+r^2)^-1 over (0, inf) = pi/2
         assert beta_half_line(0.0, 1.0) == pytest.approx(math.pi / 2.0, rel=1e-14)
 
-    @pytest.mark.parametrize("p, q", [(-1.0, 2.0), (2.0, 1.5), (0.0, 0.5)])
+    @pytest.mark.parametrize(
+        "p, q",
+        [(-1.0, 2.0), (2.0, 1.5), (0.0, 0.5), (math.nan, 2.0), (0.0, math.inf)],
+    )
     def test_domain_errors(self, p, q):
         with pytest.raises(ParameterError):
             beta_half_line(p, q)
@@ -153,6 +156,13 @@ class TestCrossIdentities:
             lambda r: grad_sq(r) * r ** (d - 1), 0.0, math.inf, limit=200
         )
         assert sphere_area(d) * val == pytest.approx(cst.S_d, rel=1e-10)
+
+    @pytest.mark.parametrize("s", [1.0, 2.5e307], ids=["s1", "s-quarter-d"])
+    def test_float_range_d_names_d(self, s):
+        """At d = 1e308, (d + 2s)/2 rounds to d/2 and the log-Gamma sums are
+        inf - inf; the error must name d, with no numpy warning."""
+        with pytest.raises(ParameterError, match=r"^d = 10+ is too large"):
+            sharp_constants(Ambient(10**308, s))
 
     def test_cache_returns_same_object(self):
         assert sharp_constants(AMB31) is sharp_constants(Ambient(3, 1.0))

@@ -65,6 +65,17 @@ class TestInteractionFunctions:
         )
 
 
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
+    def test_f_rejects_nonpositive_ratio(self, mu):
+        with pytest.raises(ParameterError, match="mu must be > 0"):
+            F_of(mu, AMB31)
+
+    @pytest.mark.parametrize("lam, mu", [(0.0, 1.0), (1.0, -0.5), (math.nan, 1.0)])
+    def test_g_rejects_nonpositive_scales(self, lam, mu):
+        with pytest.raises(ParameterError, match="must be > 0"):
+            G_of(lam, mu, AMB31)
+
+
 class TestDerivativeCheck:
     def test_within_tolerances_at_3_1(self):
         dc = derivative_check(AMB31)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sobstab.constants import Ambient, beta_half_line, sphere_area
 from sobstab import quadrature
-from sobstab.errors import GeometryError, ParameterError, QuadratureNonConvergence
+from sobstab.errors import ParameterError, QuadratureNonConvergence
 from sobstab.quadrature import (
     _NODES,
     _WGAUSS,
@@ -160,9 +160,38 @@ class TestRealLine:
 
 
 class TestAxisymmetric:
-    def test_rejects_d1(self):
-        with pytest.raises(GeometryError):
-            integrate_axisymmetric(lambda t, rho: rho, Ambient(1, 0.25), TIGHT)
+    """integrate_axisymmetric(f, amb, cfg, centers=..., widths=...) integrates
+    f(c, s, rho) at axial position c + s, c a center and s the offset."""
+
+    @pytest.mark.parametrize(
+        "centers, expected", [((0.0,), math.pi), ((0.0, 5.0), 2.0 * math.pi)]
+    )
+    def test_d1_is_the_axial_integral(self, centers, expected):
+        """At d = 1 there is no radial integral: the integral of
+        sum_j 1/(1 + (x - x_j)^2) over the line is pi per center."""
+
+        def f(c, s, rhos):
+            return sum((1.0 + (s + (c - x)) ** 2) ** -1.0 for x in centers) + rhos
+
+        res = integrate_axisymmetric(f, Ambient(1, 0.25), TIGHT, centers=centers)
+        assert res.value == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(centers=()),
+            dict(centers=(0.0, math.inf)),
+            dict(centers=(0.0, 1.0), widths=(1.0,)),
+            dict(centers=(0.0,), widths=(-1.0,)),
+            dict(centers=(0.0,), widths=(math.nan,)),
+        ],
+        ids=["empty", "infinite", "short-widths", "negative-width", "nan-width"],
+    )
+    def test_rejects_bad_centers_and_widths(self, kwargs):
+        with pytest.raises(ParameterError):
+            integrate_axisymmetric(
+                lambda c, s, rho: rho, Ambient(3, 1.0), DEFAULT_CONFIG, **kwargs
+            )
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_matches_radial_on_radial_integrands(self, d):
@@ -171,8 +200,8 @@ class TestAxisymmetric:
         amb = Ambient(d, 0.5)
         power = d + 1.0
 
-        def f(t, rhos):
-            return (1.0 + t * t + rhos * rhos) ** (-power)
+        def f(c, s, rhos):
+            return (1.0 + (c + s) ** 2 + rhos * rhos) ** (-power)
 
         res = integrate_axisymmetric(f, amb, DEFAULT_CONFIG)
         radial = integrate_half_line(
@@ -184,30 +213,43 @@ class TestAxisymmetric:
     def test_gaussian_volume(self):
         amb = Ambient(3, 1.0)
 
-        def f(t, rhos):
-            return np.exp(-(t * t + rhos * rhos))
+        def f(c, s, rhos):
+            return np.exp(-((c + s) ** 2 + rhos * rhos))
 
         res = integrate_axisymmetric(f, amb, DEFAULT_CONFIG)
         assert res.value == pytest.approx(math.pi**1.5, rel=1e-9)
 
     def test_off_center_feature_with_knots(self):
-        """A bump centered on the axis away from the origin is captured when
-        its axial position is declared."""
+        """A bump on the axis away from the origin is captured when its
+        center is declared."""
         amb = Ambient(3, 1.0)
         a = 7.0
 
-        def f(t, rhos):
-            return np.exp(-((t - a) ** 2 + rhos * rhos))
+        def f(c, s, rhos):
+            return np.exp(-((s + (c - a)) ** 2 + rhos * rhos))
 
-        res = integrate_axisymmetric(f, amb, DEFAULT_CONFIG, axial_knots=[0.0, a])
+        res = integrate_axisymmetric(f, amb, DEFAULT_CONFIG, centers=[0.0, a])
+        assert res.value == pytest.approx(math.pi**1.5, rel=1e-9)
+
+    @pytest.mark.parametrize("a", [1e17, -1e100])
+    def test_far_feature_at_its_own_center(self, a):
+        """However far the bump, f forms its distance from it as
+        s + (c - a), which is exact in the bump's own half-cells; as
+        (c + s) - a it would have lost every digit of s at 1e17."""
+        amb = Ambient(3, 1.0)
+
+        def f(c, s, rhos):
+            return np.exp(-((s + (c - a)) ** 2 + rhos * rhos))
+
+        res = integrate_axisymmetric(f, amb, DEFAULT_CONFIG, centers=[0.0, a])
         assert res.value == pytest.approx(math.pi**1.5, rel=1e-9)
 
     def test_nonfinite_integrand_rejected_in_batch(self):
         """A non-finite value in a batch of radial integrals names the
         first panel that produced one."""
 
-        def f(t, rhos):
-            return np.where(rhos > 2.0, np.nan, np.exp(-(t * t + rhos * rhos)))
+        def f(c, s, rhos):
+            return np.where(rhos > 2.0, np.nan, np.exp(-((c + s) ** 2 + rhos * rhos)))
 
         with pytest.raises(
             ParameterError, match=r"non-finite value on panel \[0\.5, 1\.0\]"
@@ -215,41 +257,53 @@ class TestAxisymmetric:
             integrate_axisymmetric(f, Ambient(3, 1.0), DEFAULT_CONFIG)
 
 
-def _nested_reference(f, amb, cfg, axial_knots=(0.0,), radial_knots=None):
-    """The axisymmetric integral from the public one-dimensional integrators:
-    an outer integrate_real_line whose integrand loops over the axial nodes,
-    running one integrate_half_line at 10x tighter tolerance per node t.
-    Returns the value and the total number of integrand evaluations."""
+def _nested_reference(f, amb, cfg, centers=(0.0,), widths=None):
+    """The axisymmetric integral with one integrate_half_line per axial node:
+    the same half-cells as integrate_axisymmetric (quadrature._cell_segments),
+    whose integrand runs, at each node, one integrate_half_line of f times
+    the node's Jacobian at 10x tighter tolerance, split at a quarter, one and
+    four widths.  Returns the value and the total number of integrand
+    evaluations."""
     inner_cfg = QuadratureConfig(rel_tol=cfg.rel_tol * 0.1, abs_tol=cfg.abs_tol * 0.1)
     w = amb.d - 2
+    ws = [0.0] * len(centers) if widths is None else list(widths)
+    knots = [k * r for r in ws for k in (0.25, 1.0, 4.0)]
     inner_evals = []
 
-    def profile(t):
-        res = integrate_half_line(
-            lambda rhos: f(t, rhos) * rhos**w, inner_cfg, knots=radial_knots
-        )
-        inner_evals.append(res.evaluations)
-        return res.value
+    def profile(c):
+        def g(rows, ss, q):
+            out = np.empty_like(ss)
+            for idx in np.ndindex(ss.shape):
+                s, q2 = ss[idx], q[idx] * q[idx]
+                res = integrate_half_line(
+                    lambda rhos: f(c, s, rhos) * rhos**w / q2, inner_cfg, knots=knots
+                )
+                inner_evals.append(res.evaluations)
+                out[idx] = res.value
+            return out
 
-    outer = integrate_real_line(
-        lambda ts: np.array([profile(t) for t in ts]), cfg, knots=axial_knots
-    )
+        return g
+
+    segments = quadrature._cell_segments(profile, list(centers), ws)
+    outer = quadrature._integrate_segments(segments, cfg)[0]
     value = sphere_area(amb.d - 1) * outer.value
     return value, outer.evaluations + sum(inner_evals)
 
 
 _SIGNED_TERMS = ((1.0, -1.5, 0.3), (-0.6, 0.4, 1.0), (0.35, 2.0, 4.0))
-_SIGNED_AXIAL = [x + k / lam for _, x, lam in _SIGNED_TERMS for k in (-1, 0, 1)]
-_SIGNED_RADIAL = [k / lam for _, _, lam in _SIGNED_TERMS for k in (0.25, 1.0, 4.0)]
+_SIGNED_CELLS = dict(
+    centers=[x for _, x, _ in _SIGNED_TERMS],
+    widths=[1.0 / lam for _, _, lam in _SIGNED_TERMS],
+)
 
 
-def _signed_bubbles(t, rhos):
+def _signed_bubbles(c, s, rhos):
     """|u|^{2*} of a signed three-term collinear superposition at d = 5,
     s = 1 (bubble profile (1 + |x|^2)^(-3/2), 2* = 10/3), scales 0.3 to 4."""
     u = 0.0
-    for c, x, lam in _SIGNED_TERMS:
-        z2 = lam * lam * ((t - x) ** 2 + rhos * rhos)
-        u = u + c * lam**1.5 * (1.0 + z2) ** -1.5
+    for coeff, x, lam in _SIGNED_TERMS:
+        z2 = lam * lam * ((s + (c - x)) ** 2 + rhos * rhos)
+        u = u + coeff * lam**1.5 * (1.0 + z2) ** -1.5
     return np.abs(u) ** (10.0 / 3.0)
 
 
@@ -260,20 +314,16 @@ class TestLockstepBatch:
     @pytest.mark.parametrize(
         "f, amb, kwargs",
         [
-            (lambda t, r: (1.0 + t * t + r * r) ** -3.0, Ambient(2, 0.5), {}),
-            (lambda t, r: (1.0 + t * t + r * r) ** -4.0, Ambient(3, 0.5), {}),
-            (lambda t, r: (1.0 + t * t + r * r) ** -6.0, Ambient(5, 0.5), {}),
-            (lambda t, r: np.exp(-(t * t + r * r)), Ambient(3, 1.0), {}),
+            (lambda c, s, r: (1.0 + (c + s) ** 2 + r * r) ** -3.0, Ambient(2, 0.5), {}),
+            (lambda c, s, r: (1.0 + (c + s) ** 2 + r * r) ** -4.0, Ambient(3, 0.5), {}),
+            (lambda c, s, r: (1.0 + (c + s) ** 2 + r * r) ** -6.0, Ambient(5, 0.5), {}),
+            (lambda c, s, r: np.exp(-((c + s) ** 2 + r * r)), Ambient(3, 1.0), {}),
             (
-                lambda t, r: np.exp(-((t - 7.0) ** 2 + r * r)),
+                lambda c, s, r: np.exp(-((s + (c - 7.0)) ** 2 + r * r)),
                 Ambient(3, 1.0),
-                dict(axial_knots=[0.0, 7.0]),
+                dict(centers=[0.0, 7.0]),
             ),
-            (
-                _signed_bubbles,
-                Ambient(5, 1.0),
-                dict(axial_knots=_SIGNED_AXIAL, radial_knots=_SIGNED_RADIAL),
-            ),
+            (_signed_bubbles, Ambient(5, 1.0), _SIGNED_CELLS),
         ],
         ids=["radial-d2", "radial-d3", "radial-d5", "gaussian", "off-center", "signed"],
     )

@@ -72,6 +72,15 @@ class TestCompare:
             assert rep.upper_bound_on_cBE == min(rep.c_spec, rep.c_two_peak)
             assert 0.0 < rep.upper_bound_on_cBE < 1.0
 
+    def test_equal_thresholds_tie(self):
+        """At d = 7 the two thresholds cross near s = 1.1418650286; the s
+        found there by bisection puts them 5.6e-17 apart, within the tie
+        tolerance, and either value is the bound."""
+        rep = compare(Ambient(7, 1.141865028605656))
+        assert rep.binding is Binding.TIE
+        assert abs(rep.c_spec - rep.c_two_peak) < 1e-14
+        assert rep.upper_bound_on_cBE == min(rep.c_spec, rep.c_two_peak)
+
     def test_d1_caveat_flag(self):
         assert compare(Ambient(1, 0.25)).d1_caveat is True
         assert compare(Ambient(3, 1.0)).d1_caveat is False
