@@ -6,7 +6,8 @@ Every H^s quantity is computed through the eigenvalue identity
 weighted L^2-type pairings (B_i, B_j^(2*-1)), and the fractional Laplacian is
 never discretized.  A pairing depends only on the conformal invariant of its
 two bubbles and is evaluated in closed form, as a Gauss hypergeometric
-function (_pair_kernel).  The critical norm ||u||_{2*} has no closed form and
+function summed by numpy series whose coefficients are computed once per
+ambient (_pair_kernel).  The critical norm ||u||_{2*} has no closed form and
 is integrated by quadrature: radial for CONCENTRIC configurations (all
 centers coincide) and for every pair, which is conformally equivalent to the
 concentric pair at its conformal ratio; over (axial position, distance from
@@ -24,10 +25,10 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .constants import Ambient, sharp_constants, sphere_area
 from .errors import GeometryError, ParameterError, SchemaError
@@ -221,15 +222,121 @@ def _conformal_ratio(l1, l2, r2):
     return 1.0 + 0.5 * (e + np.sqrt(e) * np.sqrt(e + 4.0))
 
 
-# Up to this ratio the kernel uses the quadratic transformation; above it the
-# defining form, whose evaluation by scipy (1.17) loses digits for t in
-# (1.5, 8) when s is small and d large: relative error up to 6e-10 at
-# d = 12, s = 0.05, against 2e-15 for the transformed form.
-_T_QUADRATIC = 8.0
-# Past t^a = 10^150 the leading asymptotic term is used: the defining form
-# underflows there (and overflows in t^2 beyond t ~ 1e154), while the
-# neglected terms are smaller by t^(-2s) and t^(-2).
-_LOG_FAR = 150.0 * math.log(10.0)
+# Stirling's series for log Gamma: the coefficients B_2k / (2k (2k - 1)),
+# summed from _STIRLING_FROM on, where the first omitted term is below 1e-17.
+_STIRLING = (
+    1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+    -3617 / 122400,
+)
+_STIRLING_FROM = 10.0
+# A kernel series stops once a coefficient times 2^-k is below _TERM_TOL
+# while the coefficients fall by a ratio under 3/2: its arguments are at most
+# 1/2, so the rest is below 4 _TERM_TOL against a sum of at least 1.
+_TERM_TOL = 2.0**-60
+# Powers of the argument formed per call; the giant steps take the rest.
+_BABY_STEPS = 16
+
+
+def _log1p_slope(x: float, eps: float) -> float:
+    """log(1 + eps/x) / eps, and its limit 1/x at eps = 0."""
+    return math.log1p(eps / x) / eps if eps else 1.0 / x
+
+
+def _lgamma_slope(x: float, eps: float) -> float:
+    """(log Gamma(x + eps) - log Gamma(x)) / eps for x, x + eps > 0, and its
+    limit digamma(x) at eps = 0, with no cancellation as eps -> 0: the
+    recurrence Gamma(x + 1) = x Gamma(x) carries x to _STIRLING_FROM, where
+    Stirling's series is differenced term by term."""
+    shift = 0.0
+    while x < _STIRLING_FROM:
+        shift += _log1p_slope(x, eps)
+        x += 1.0
+    val = (x - 0.5) * _log1p_slope(x, eps) + math.log(x + eps) - 1.0
+    for k, c in enumerate(_STIRLING, 1):
+        n = 2 * k - 1
+        step = math.expm1(-n * math.log1p(eps / x)) / eps if eps else -n / x
+        val += c * x**-n * step
+    return val - shift
+
+
+@lru_cache(maxsize=None)
+def _kernel_series(amb: Ambient) -> tuple[float, np.ndarray]:
+    """The series that _pair_kernel sums for one ambient: eps = s - m in
+    [-1/4, 3/4) with m an integer (so P stays finite for every float w > 0),
+    and the coefficient table whose row 3b + j holds the coefficients
+    _BABY_STEPS b, ..., _BABY_STEPS (b + 1) - 1 of series j (0: the near
+    series, 1: S_a, 2: S_b; see _pair_kernel)."""
+    a = amb.beta_exp
+    A, B, C = 0.5 * a, 0.5 * a + 0.5, 0.5 * amb.d + 0.5
+    m = math.floor(amb.s + 0.25)
+    eps = amb.s - m
+    lg = math.lgamma
+
+    near = [1.0]
+    r = A * B / C
+    while near[-1] * 0.5 ** (len(near) - 1) >= _TERM_TOL or r >= 1.5:
+        k = len(near)
+        near.append(near[-1] * r)
+        r = (A + k) * (B + k) / ((C + k) * (k + 1))
+
+    # Below w^m: the regular part of the connection formula.
+    far_a = [0.0] * m
+    far_b = [0.0] * m
+    if m:
+        far_a[0] = math.exp(lg(C) + lg(amb.s) - lg(B + amb.s) - lg(A + amb.s))
+        for k in range(m - 1):
+            ratio = (A + k) * (B + k) / ((k + 1 - m - eps) * (k + 1))
+            far_a[k + 1] = far_a[k] * ratio
+    # From w^m on: the paired terms k = m + j of both connection series,
+    # c_j w^(m+j) (1 - w^eps f_j(eps)/f_j(0)) / eps, where
+    # f_j(e) = G(A+m+j+e) G(B+m+j+e) / (G(1+m+j+e) G(1+j-eps+e)), G = Gamma,
+    # and delta = (log f_j(eps) - log f_j(0)) / eps.  With w^eps = 1 + eps P
+    # the pair is c_j w^(m+j) (-P e^(eps delta) - expm1(eps delta)/eps).
+    sinc = math.pi * eps / math.sin(math.pi * eps) if eps else 1.0
+    c = (-1) ** m * sinc * math.exp(
+        lg(C) + lg(A + m) + lg(B + m) - lg(1 + m) - lg(1 - eps)
+        - lg(A) - lg(B) - lg(A + amb.s) - lg(B + amb.s)
+    )
+    delta = (
+        _lgamma_slope(A + m, eps) + _lgamma_slope(B + m, eps)
+        - _lgamma_slope(1 + m, eps) - _lgamma_slope(1 - eps, eps)
+    )
+    j = 0
+    while True:
+        far_a.append(-c * (math.expm1(eps * delta) / eps if eps else delta))
+        far_b.append(c * math.exp(eps * delta))
+        r = (A + m + j) * (B + m + j) / ((1 + m + j) * (1 + j - eps))
+        size = (abs(far_a[-1]) + abs(far_b[-1])) * 0.5 ** (m + j)
+        if size < _TERM_TOL and r < 1.5:
+            break
+        delta += (
+            _log1p_slope(A + m + j, eps) + _log1p_slope(B + m + j, eps)
+            - _log1p_slope(1 + m + j, eps) - _log1p_slope(1 + j - eps, eps)
+        )
+        c *= r
+        j += 1
+
+    blocks = -(-max(len(near), len(far_a)) // _BABY_STEPS)
+    table = np.zeros((3, blocks * _BABY_STEPS))
+    for row, coeffs in zip(table, (near, far_a, far_b)):
+        row[: len(coeffs)] = coeffs
+    table = table.reshape(3, blocks, _BABY_STEPS).transpose(1, 0, 2)
+    return eps, np.ascontiguousarray(table.reshape(3 * blocks, _BABY_STEPS))
+
+
+def _powers(x: np.ndarray, k: int) -> np.ndarray:
+    """Rows x^0, ..., x^(k-1) of the 1-D array x, k >= 2: each block
+    x^h, ..., x^(2h-1) is the block below times x^h, formed by squaring."""
+    p = np.empty((k, x.size))
+    p[0] = 1.0
+    p[1] = x
+    h, square = 2, x
+    while h < k:
+        square = square * square
+        top = min(2 * h, k)
+        np.multiply(p[: top - h], square, out=p[h:top])
+        h = top
+    return p
 
 
 def _pair_kernel(amb: Ambient, t) -> np.ndarray:
@@ -240,27 +347,39 @@ def _pair_kernel(amb: Ambient, t) -> np.ndarray:
     a = (d-2s)/2 (DLMF 15.6.1), and F(1) = 1.  Because c = 2b, the quadratic
     transformation DLMF 15.8.13 turns it into
 
-        F(t) = sech(u)^a 2F1(a/2, (a+1)/2; (d+1)/2; tanh(u)^2),  u = log t,
+        F(t) = w^A 2F1(A, B; C; 1 - w),   w = sech(u)^2,  u = log t,
 
-    used for t <= _T_QUADRATIC.  Far out F(t) = c0 t^(-a) (1 + O(t^(-2s))),
-    with c0 the leading interaction constant.
+    with A = a/2, B = A + 1/2, C = (d+1)/2 and C - A - B = s.  Near, while
+    tanh(u)^2 = 1 - w <= 1/2, the Maclaurin series in 1 - w is summed.  Far,
+    while w <= 1/2, the connection formula DLMF 15.8.4 expands 2F1 in powers
+    of w and w^s.  Write s = m + eps with m an integer: both of its series
+    carry a factor 1/sin(pi eps), and their terms in w^(m+j) cancel to O(1)
+    as eps -> 0.  Summed in pairs, with the Gamma-function differences taken
+    as difference quotients in eps (Forrey, J. Comput. Phys. 137, 1997), they
+    give the far value S_a(w) - P S_b(w), P = expm1(eps log w)/eps, two
+    power series whose accuracy does not depend on eps; at eps = 0 this is
+    the logarithmic case DLMF 15.8.10.  The coefficients depend on the
+    ambient only (_kernel_series); a call sums all three series at once,
+    baby steps by matrix products and giant steps by Horner's rule.
     """
+    eps, table = _kernel_series(amb)
     t = np.asarray(t, dtype=float)
-    a = amb.beta_exp
-    d = amb.d
-    out = np.empty_like(t)
-    near = t <= _T_QUADRATIC
-    far = t > math.exp(_LOG_FAR / max(a, 1.0))
-    mid = ~(near | far)
-    tn = t[near]
-    sech = 2.0 / (tn + 1.0 / tn)
-    out[near] = sech**a * hyp2f1(
-        0.5 * a, 0.5 * a + 0.5, 0.5 * d + 0.5, 1.0 - sech * sech
-    )
-    tm = t[mid]
-    out[mid] = tm**a * hyp2f1(a, 0.5 * d, d, 1.0 - tm * tm)
-    out[far] = sharp_constants(amb).c0 * t[far] ** -a
-    return out
+    sech = (2.0 / (t + 1.0 / t)).ravel()  # 0 at t = inf
+    w = sech * sech
+    x = np.minimum(w, 1.0 - w)
+    powers = _powers(x, _BABY_STEPS)
+    terms = (table @ powers).reshape(-1, 3, x.size)
+    v = terms[-1]
+    giant = powers[-1] * x
+    for block in terms[-2::-1]:
+        v *= giant
+        v += block
+    # At t = inf, where sech^a = 0, log w is clipped to its value at the
+    # largest finite t.
+    log_w = 2.0 * np.log(np.maximum(sech, 2.0 / sys.float_info.max))
+    p = np.expm1(eps * log_w) / eps if eps else log_w
+    f = np.where(w > 0.5, v[0], v[1] - p * v[2])
+    return (sech**amb.beta_exp * f).reshape(t.shape)
 
 
 def _pairings(

@@ -6,8 +6,8 @@ All quantities are driven by the normalized extremal profile
 
 which satisfies the eigenvalue identity (-Delta)^s B = S_d B^(2*-1).  The
 module evaluates every constant through Gamma-function reductions of the
-half-line Beta integral; log-Gamma is used internally so ratios stay finite
-for dimensions well beyond anything the toolkit is run at.
+half-line Beta integral; log-Gamma (math.lgamma) is used internally so ratios
+stay finite for dimensions well beyond anything the toolkit is run at.
 
 A note on S_d: the sharp constant is *derived* here, not copied from a table.
 The action of (-Delta)^s on the profile (1+|x|^2)^(-(d-2s)/2) is
@@ -23,9 +23,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
-from scipy.special import gammaln
 
 from .errors import ParameterError
 
@@ -108,6 +105,12 @@ class SharpConstants:
         return sphere_area(amb.d) * (amb.d + 2.0 * amb.s) / 2.0
 
 
+def _gamma_ratio(num, den, base: float = 1.0, power: float = 0.0) -> float:
+    """base^power prod Gamma(num) / prod Gamma(den), for positive arguments."""
+    logs = sum(map(math.lgamma, num)) - sum(map(math.lgamma, den))
+    return math.exp(power * math.log(base) + logs)
+
+
 def beta_half_line(p: float, q: float) -> float:
     """Evaluate the half-line Beta integral
     ``integral_0^inf r^p (1+r^2)^(-q) dr`` in closed form.
@@ -126,14 +129,14 @@ def beta_half_line(p: float, q: float) -> float:
             f"beta_half_line requires q > (p+1)/2 = {(p + 1.0) / 2.0}, got q={q}"
         )
     a = (p + 1.0) / 2.0
-    return 0.5 * math.exp(gammaln(a) + gammaln(q - a) - gammaln(q))
+    return 0.5 * _gamma_ratio((a, q - a), (q,))
 
 
 def sphere_area(d: int) -> float:
     """Surface measure |S^{d-1}| = 2 pi^(d/2) / Gamma(d/2); |S^0| = 2."""
     if d < 1:
         raise ParameterError(f"sphere_area requires d >= 1, got {d}")
-    return 2.0 * math.exp(0.5 * d * math.log(math.pi) - gammaln(0.5 * d))
+    return 2.0 * _gamma_ratio((), (0.5 * d,), math.pi, 0.5 * d)
 
 
 def normalization_c(amb: Ambient) -> float:
@@ -147,13 +150,9 @@ def normalization_c(amb: Ambient) -> float:
 
 
 def _eigen_factor(amb: Ambient) -> float:
-    """A_ds = 2^(2s) Gamma((d+2s)/2) / Gamma((d-2s)/2), via log-Gamma."""
+    """A_ds = 2^(2s) Gamma((d+2s)/2) / Gamma((d-2s)/2)."""
     d, s = amb.d, amb.s
-    return math.exp(
-        2.0 * s * math.log(2.0)
-        + gammaln((d + 2.0 * s) / 2.0)
-        - gammaln((d - 2.0 * s) / 2.0)
-    )
+    return _gamma_ratio(((d + 2.0 * s) / 2.0,), ((d - 2.0 * s) / 2.0,), 2.0, 2.0 * s)
 
 
 def sharp_constant(amb: Ambient) -> float:
@@ -179,19 +178,17 @@ def appendix_constants(amb: Ambient) -> tuple[float, float, float]:
     """
     d, s = amb.d, float(amb.s)
     c_pow = normalization_c(amb) ** amb.two_star
-    c0 = c_pow * sphere_area(d) * beta_half_line(d - 1, (d + 2.0 * s) / 2.0)
+    # beta_half_line(d-1, (d+2s)/2) with Gamma(s) taken at s itself: formed
+    # as (d+2s)/2 - d/2, the argument would lose digits as s -> 0.
+    cross = _gamma_ratio((d / 2.0, s), ((d + 2.0 * s) / 2.0,))
+    c0 = c_pow * sphere_area(d) * 0.5 * cross
     a_d = (
         -c_pow
         * (d - 2.0 * s)
         / (2.0 * (d + 1.0))
-        * math.exp(gammaln((d + 2.0) / 2.0) + gammaln(d / 2.0) - gammaln(d + 1.0))
+        * _gamma_ratio(((d + 2.0) / 2.0, d / 2.0), (d + 1.0,))
     )
-    b_d = (
-        -c_pow
-        * (d - 2.0 * s)
-        / (2.0 * (d + 2.0 * s))
-        * math.exp(gammaln(d / 2.0) + gammaln(s) - gammaln((d + 2.0 * s) / 2.0))
-    )
+    b_d = -c_pow * (d - 2.0 * s) / (2.0 * (d + 2.0 * s)) * cross
     return c0, a_d, b_d
 
 
@@ -203,11 +200,9 @@ def sharp_constants(amb: Ambient) -> SharpConstants:
     float range (overflows, or underflows to 0), or that d + 2s rounds to d.
     """
     try:
-        # Past the float range the log-Gamma sums are inf - inf = nan.
-        with np.errstate(invalid="ignore", over="ignore"):
-            c0, a_d, b_d = appendix_constants(amb)
-            c_d, A_ds = normalization_c(amb), _eigen_factor(amb)
-            S_d = sharp_constant(amb)
+        c0, a_d, b_d = appendix_constants(amb)
+        c_d, A_ds = normalization_c(amb), _eigen_factor(amb)
+        S_d = sharp_constant(amb)
         values = (c_d, A_ds, S_d, c0, a_d, b_d)
     except (OverflowError, ZeroDivisionError, ParameterError):
         values = (math.nan,)

@@ -10,6 +10,7 @@ binds in low dimension, the two-peak mechanism in high dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,8 +42,9 @@ def spectral_threshold(amb: Ambient) -> float:
 
 
 def two_peak_threshold(amb: Ambient) -> float:
-    """2 - 2^((d-2s)/d), the limiting quotient of two separating optimizers."""
-    return 2.0 - 2.0 ** ((amb.d - 2.0 * amb.s) / amb.d)
+    """2 - 2^((d-2s)/d), the limiting quotient of two separating optimizers,
+    as -2 expm1(-(2s/d) log 2), which keeps its digits as s/d -> 0."""
+    return -2.0 * math.expm1(-(2.0 * amb.s / amb.d) * math.log(2.0))
 
 
 @dataclass(frozen=True)

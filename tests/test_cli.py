@@ -582,3 +582,46 @@ class TestImportCost:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            None,
+            ["constants", "--d", "5", "--s", "1"],
+            ["thresholds", "--d", "7", "--s", "1"],
+            ["crossover", "--s", "1"],
+            ["eval", "--config", "CONFIG"],
+            ["dist", "--config", "CONFIG"],
+            ["expand", "--d", "3", "--s", "1"],
+            ["sweep-grid", "--d", "3", "--s", "1", "--c2", "0.7",
+             "--lambda", "0.5", "--separation", "0,2"],
+        ],
+        ids=["import", "constants", "thresholds", "crossover", "eval", "dist",
+             "expand", "sweep-grid"],
+    )
+    def test_runs_without_scipy(self, tmp_path, argv):
+        """scipy is no runtime dependency: with it made unimportable, the
+        package imports and every subcommand exits 0 with the output it
+        gives when scipy is there."""
+        if argv is None:
+            code = "import sobstab\nprint(sorted(sobstab.__all__))"
+        else:
+            config = write_config(tmp_path, COLLINEAR_TRIPLE)
+            argv = [config if a == "CONFIG" else a for a in argv]
+            code = (
+                f"import runpy\nsys.argv = ['sobstab', *{argv!r}]\n"
+                "try:\n    runpy.run_module('sobstab.cli', run_name='__main__')\n"
+                "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
+            )
+        src = str(Path(sobstab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        outputs = []
+        for block in ("", "sys.modules['scipy'] = None\n"):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import sys\n{block}{code}"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0]
+        assert outputs[1] == outputs[0]

@@ -4,7 +4,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from scipy.integrate import quad
 
 from sobstab.constants import (
     Ambient,
@@ -68,6 +67,7 @@ class TestBetaHalfLine:
         [(0.0, 1.0), (2.0, 3.0), (1.0, 1.5), (4.0, 3.0), (2.5, 7.0), (-0.5, 2.0)],
     )
     def test_against_direct_quadrature(self, p, q):
+        quad = pytest.importorskip("scipy.integrate").quad
         closed = beta_half_line(p, q)
         direct, err = quad(
             lambda r: r**p * (1.0 + r * r) ** (-q), 0.0, math.inf, limit=200
@@ -118,6 +118,36 @@ class TestClosedForms:
         # sanity anchor also used by the thresholds module
         assert Fraction(4, 7) == Fraction(4, 3 + 2 + 2)
 
+    @pytest.mark.parametrize(
+        "d, s",
+        [(3, 1.0), (5, 1.0), (12, 1.0), (4, 1.3), (12, 0.05), (3, 1e-8), (12, 1e-8)],
+    )
+    def test_all_constants_match_mpmath(self, d, s):
+        """Every constant against its Gamma-function form at 40 digits; at
+        s = 1e-8, c0 used to be 6e-9 off through the argument (d+2s)/2 - d/2."""
+        mp = pytest.importorskip("mpmath")
+        cst = sharp_constants(Ambient(d, s))
+        with mp.workdps(40):
+            d_, s_ = mp.mpf(d), mp.mpf(s)
+            g = mp.gamma
+            area = 2 * mp.pi ** (d_ / 2) / g(d_ / 2)
+            p = 2 * d_ / (d_ - 2 * s_)
+            c_d = (area * g(d_ / 2) ** 2 / g(d_) / 2) ** (-1 / p)
+            A = 4**s_ * g((d_ + 2 * s_) / 2) / g((d_ - 2 * s_) / 2)
+            cross = g(d_ / 2) * g(s_) / g((d_ + 2 * s_) / 2)
+            ref = {
+                "c_d": c_d,
+                "A_ds": A,
+                "S_d": A * c_d ** (2 - p),
+                "c0": c_d**p * area * cross / 2,
+                "a_d": -(c_d**p) * (d_ - 2 * s_) / (2 * (d_ + 1))
+                * g((d_ + 2) / 2) * g(d_ / 2) / g(d_ + 1),
+                "b_d": -(c_d**p) * (d_ - 2 * s_) / (2 * (d_ + 2 * s_)) * cross,
+            }
+            for name, value in ref.items():
+                err = abs(getattr(cst, name) - value) / abs(value)
+                assert err <= 1e-14, (name, float(err))
+
 
 class TestCrossIdentities:
     @pytest.mark.parametrize(
@@ -143,6 +173,7 @@ class TestCrossIdentities:
         B is the Sobolev optimizer with unit critical norm, so its Dirichlet
         energy equals the sharp constant exactly.
         """
+        quad = pytest.importorskip("scipy.integrate").quad
         amb = Ambient(d, 1.0)
         cst = sharp_constants(amb)
         bexp = amb.beta_exp

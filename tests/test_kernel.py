@@ -64,8 +64,8 @@ def sharp_ref(d, s):
 
 
 # Every fifth decade up to 1e150, ratios just above 1, and a dense sweep of
-# [1.5, 9], where the direct scipy evaluation loses digits at small s and
-# large d.
+# [1.5, 9], across the switch between the kernel's near and far series
+# (t = 1 + sqrt 2), where its error is largest at small s and large d.
 T_GRID = np.unique(
     np.concatenate(
         [
@@ -81,6 +81,25 @@ T_GRID = np.unique(
 def test_kernel_matches_mpmath(d, s):
     got = _pair_kernel(Ambient(d, s), T_GRID)
     for t, f in zip(T_GRID, got):
+        ref = f_ref(t, d, s)
+        assert abs(f - ref) <= 1e-10 * ref + 1e-15, (t, f, float(ref))
+
+
+# s within 1e-12 .. 1e-3 of an integer, where the two series of the
+# connection formula cancel, and s near 0.
+NEAR_INTEGER = [
+    (d, m + sign * gap)
+    for d, m in ((3, 1), (5, 1), (5, 2))
+    for gap in (1e-12, 1e-9, 1e-6, 1e-3)
+    for sign in (-1, 1)
+] + [(d, s) for d in (3, 5) for s in (1e-9, 1e-6)]
+
+
+@pytest.mark.parametrize("d, s", NEAR_INTEGER)
+def test_kernel_near_integer_s_matches_mpmath(d, s):
+    ts = np.concatenate([T_GRID, np.geomspace(9.0, 1e4, 25)])
+    got = _pair_kernel(Ambient(d, s), ts)
+    for t, f in zip(ts, got):
         ref = f_ref(t, d, s)
         assert abs(f - ref) <= 1e-10 * ref + 1e-15, (t, f, float(ref))
 

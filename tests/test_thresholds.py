@@ -47,6 +47,18 @@ class TestClosedForms:
             2.0 - 2.0 ** (2.0 / amb.two_star), rel=1e-15
         )
 
+    @pytest.mark.parametrize(
+        "d, s", [(12, 1e-8), (3, 1.0), (7, 1.0), (12, 1.0), (2, 0.5)]
+    )
+    def test_two_peak_matches_mpmath(self, d, s):
+        """At d = 12, s = 1e-8, 2 - 2^((d-2s)/d) is off by a relative 3.8e-8:
+        the subtraction cancels 8 digits."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            ref = 2 - mp.power(2, (mp.mpf(d) - 2 * mp.mpf(s)) / d)
+            err = abs(two_peak_threshold(Ambient(d, s)) - ref) / ref
+        assert err <= 1e-14
+
     def test_fractional_order_moves_both(self):
         a = compare(Ambient(3, 0.5))
         assert a.c_spec == pytest.approx(2.0 / 6.0)
