@@ -343,6 +343,10 @@ def _grid_row(
         rep = functional_report(u, cfg)
     except QuadratureNonConvergence as exc:
         return [c2, lam, sep, f"{type(exc).__name__}: {exc}"] + [None] * 7
+    except ParameterError as exc:
+        raise ParameterError(
+            f"grid point c2={c2} lambda={lam} separation={sep}: {exc}"
+        ) from exc
     be = rep.be_quotient
     return [
         c2, lam, sep, "ok", rep.hs_norm_sq, rep.lp_norm, rep.m.value,

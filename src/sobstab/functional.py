@@ -33,7 +33,7 @@ from .bubbles import (
     pair_against_bubble,  # noqa: F401 -- unused; bench/spans.py wraps it here
 )
 from .constants import sharp_constants
-from .errors import GeometryError
+from .errors import GeometryError, ParameterError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 __all__ = [
@@ -201,7 +201,8 @@ def m_value(u: Superposition) -> MOptimum:
     (_polish).
     all_local_maxima lists the polished peaks, those closer than
     _CLUSTER_TOL in both axial position (in probe widths) and log scale
-    merged to the best.
+    merged to the best.  No positive grid value means the terms of u
+    cancel, and raises ParameterError.
     """
     geo, p0, e, pos = _frame(u)
     if geo is Geometry.GENERAL:
@@ -224,6 +225,11 @@ def m_value(u: Superposition) -> MOptimum:
         )
     grid = _pair_radial(amb, axial, axis_pts[:, None], zs)
     ia, iz = np.nonzero(_grid_peaks(grid * grid))
+    if not ia.size:
+        raise ParameterError(
+            "the terms of u cancel: no probe bubble pairs with u, so m has "
+            "no maximizer"
+        )
     # Trust box: one grid cell, and along the axis at least half a probe
     # width, since a cell sized by the terms is tiny against a wide probe.
     gaps = np.diff(axis_pts, prepend=axis_pts[0], append=axis_pts[-1])
@@ -269,10 +275,22 @@ def _dist_sq_from(u: Superposition, hs: float, mopt: MOptimum) -> float:
     return value if value > 0.0 else 0.0
 
 
+def _nonzero_hs_norm_sq(u: Superposition) -> float:
+    """hs_norm_sq(u), or ParameterError when it rounds to 0 or below."""
+    hs = hs_norm_sq(u)
+    if not hs > 0.0:
+        raise ParameterError(
+            f"the terms of u cancel: hs_norm_sq is {hs!r}, so no quotient "
+            "is defined"
+        )
+    return hs
+
+
 def sobolev_quotient(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """S(u) = hs_norm_sq / lp_norm^2; always >= S_d up to quadrature noise."""
+    hs = _nonzero_hs_norm_sq(u)
     lp = lp_norm(u, cfg)
-    return hs_norm_sq(u) / (lp * lp)
+    return hs / (lp * lp)
 
 
 def be_quotient(
@@ -287,10 +305,11 @@ def be_quotient(
 def functional_report(
     u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> FunctionalReport:
-    """All functional-level quantities of u in one pass."""
+    """All functional-level quantities of u in one pass; ParameterError if
+    the terms of u cancel (hs_norm_sq not positive)."""
     amb = u.ambient
     cst = sharp_constants(amb)
-    hs = hs_norm_sq(u)
+    hs = _nonzero_hs_norm_sq(u)
     lp = lp_norm(u, cfg)
     mopt = m_value(u)
     d2 = _dist_sq_from(u, hs, mopt)

@@ -13,9 +13,9 @@ way from its own center, so each bubble is resolved however far the others.
 The engine refines a batch of integrals over the same initial segments in
 lockstep: each step splits the worst panel of every integral not yet
 converged and evaluates all the new panels in one vectorized call.  Each
-integral keeps the panel order, subdivision limits and termination rule it
-would have alone, so its result does not depend on the batch.  The radial
-integrals at the nodes of an axial panel are one such batch.
+integral keeps the panel order and termination rule it would have alone, so
+its result does not depend on the batch.  The radial integrals at the nodes
+of an axial panel are one such batch.
 
 Half-line and real-line integrands are numpy-vectorized: each call receives
 a 1-D ndarray of nodes and must return an array of the same shape.
@@ -79,9 +79,8 @@ _WGAUSS[[1, 3, 5]] = _WG[:3]
 _WGAUSS[7] = _WG[3]
 _WGAUSS[[9, 11, 13]] = _WG[2::-1]
 
-_MAX_PANELS = 20000
-# A panel is bisected at most this many times.
-_MAX_SUBDIVISIONS = 30
+_MAX_PANELS = 20000  # held by one call, over its whole batch
+_MAX_SUBDIVISIONS = 30  # bisections of one panel
 
 
 @dataclass(frozen=True)
@@ -172,15 +171,13 @@ _SLACK = 1.0 + 2.0**-40
 class _Row:
     """Refinement state of one integral of a lockstep batch."""
 
-    __slots__ = ("heap", "frozen", "panels", "evals", "val", "err", "dval", "derr")
+    __slots__ = ("heap", "evals", "val", "err", "dval", "derr")
 
     def __init__(self) -> None:
         # (-err, seq, a, b, depth, val, segment): the segment's index rather
         # than its integrand keeps the tuple out of the garbage collector's
         # traversals, which a 20000-panel heap makes costly.
         self.heap: list[tuple] = []
-        self.frozen: list[tuple[float, float]] = []  # (val, err) at max depth
-        self.panels = 0
         self.evals = 0
         # Running totals over the live panels; dval and derr sum the
         # magnitudes of their partial results, so _ULP * dval bounds the
@@ -196,8 +193,8 @@ class _Row:
 
     def exact(self) -> tuple[float, float]:
         """fsum totals of the live panels; resets the running totals."""
-        val = math.fsum([p[5] for p in self.heap] + [v for v, _ in self.frozen])
-        err = math.fsum([-p[0] for p in self.heap] + [e for _, e in self.frozen])
+        val = math.fsum([p[5] for p in self.heap])
+        err = math.fsum([-p[0] for p in self.heap])
         self.val, self.err, self.dval, self.derr = val, err, abs(val), err
         return val, err
 
@@ -212,11 +209,11 @@ def _integrate_segments(
     ``g(rows, xs)`` evaluates at an (m, 15) array of nodes whose k-th row
     belongs to integral ``rows[k]``.  Each integral queues its panels by error
     estimate, largest first, and splits them at their midpoints until the
-    fsum of its estimates meets max(rel_tol*|value|, abs_tol); a panel may be
-    bisected at most _MAX_SUBDIVISIONS times.  The integrals refine in
-    lockstep: every step splits the worst panel of each integral still open
-    and evaluates all new panels together.  The first integral that cannot
-    converge raises QuadratureNonConvergence with its best estimate.
+    fsum of its estimates meets max(rel_tol*|value|, abs_tol).  The integrals
+    refine in lockstep: every step splits the worst panel of each integral
+    still open and evaluates all new panels together.  An open integral
+    raises QuadratureNonConvergence with its best estimate once its worst
+    panel is at depth _MAX_SUBDIVISIONS or the batch holds _MAX_PANELS.
     """
     for _, a, b in segments:
         if not b > a:
@@ -229,13 +226,14 @@ def _integrate_segments(
         for i in range(n)
         for k, (_, a, b) in enumerate(segments)
     ]
+    panels = 0
     active: Iterable[int] = range(n)
     while new:
+        panels += len(new)
         for (i, k, a, b, depth), val, err in zip(new, *_evaluate(new, funcs)):
             row = state[i]
             # row.evals orders a row's panels by creation, as a sequence number.
             heapq.heappush(row.heap, (-err, row.evals, a, b, depth, val, k))
-            row.panels += 1
             row.evals += 15
             row.val += val
             row.dval += abs(row.val)
@@ -249,24 +247,17 @@ def _integrate_segments(
                 if err <= max(cfg.rel_tol * abs(val), cfg.abs_tol):
                     results[i] = QuadratureResult(val, err, row.evals)
                     continue
-            # Locate the worst panel that can still be refined.
-            split = None
-            if row.panels < _MAX_PANELS:
-                while row.heap:
-                    panel = heapq.heappop(row.heap)
-                    if panel[4] < _MAX_SUBDIVISIONS:
-                        split = panel
-                        break
-                    row.frozen.append((panel[5], -panel[0]))  # cannot improve
-            if split is None:
+            neg_err, _, a, b, depth, val, k = row.heap[0]
+            if depth >= _MAX_SUBDIVISIONS or panels >= _MAX_PANELS:
                 val, err = row.exact()
+                limit = "depth" if depth >= _MAX_SUBDIVISIONS else "panel"
                 raise QuadratureNonConvergence(
                     f"tolerance not met: error estimate {err:.3e} with "
-                    f"{row.panels} panels at max_subdivisions={_MAX_SUBDIVISIONS}",
+                    f"{len(row.heap)} panels at the call's {limit} limit",
                     best=QuadratureResult(val, err, row.evals),
                 )
-            neg_err, _, a, b, depth, val, k = split
-            row.panels -= 1
+            heapq.heappop(row.heap)
+            panels -= 1
             row.val -= val
             row.dval += abs(row.val)
             row.err += neg_err
@@ -331,8 +322,8 @@ def integrate_half_line(
     any other shape raises ParameterError.  ``knots`` lists characteristic
     radii at which initial panels are split; pass the turnover scales of a
     multi-scale integrand to keep refinement shallow.  Raises
-    QuadratureNonConvergence (carrying the best estimate) if the tolerance
-    cannot be met within the subdivision budget.
+    QuadratureNonConvergence (carrying the best estimate) once the worst
+    panel is at depth _MAX_SUBDIVISIONS or _MAX_PANELS are held, unconverged.
     """
     segments = _tail_segments(_over_q2(_lift(f)), 1.0, knots)
     return _integrate_segments(segments, cfg)[0]
@@ -418,21 +409,21 @@ def integrate_axisymmetric(
     The axis is cut midway between consecutive ``centers`` (finite,
     nonempty) and each half-cell runs from its own center c, so f receives c
     and the offset s apart and can form the distance to a feature there
-    exactly.  ``widths`` (one per center, >= 0) place the initial breaks
-    (see _cell_segments) and split each radial integral at a quarter, one
-    and four widths.  f must broadcast over offsets of shape (m, 1) and radii
-    of shape (m, 15) to shape (m, 15).  The radial integrals at the 15 nodes
+    exactly.  ``widths`` (one per center, > 0; 1 each by default) place the
+    initial breaks (see _cell_segments) and split each radial integral at a
+    quarter, one and four widths.  f must broadcast over offsets of shape
+    (m, 1) and radii of shape (m, 15) to shape (m, 15).  The radial integrals at the 15 nodes
     of an axial panel refine as one lockstep batch, at 10x tighter tolerance,
     with the axial Jacobian inside so the inner abs_tol is on the outer scale.
     """
     xs = [float(x) for x in centers]
-    ws = [0.0] * len(xs) if widths is None else [float(r) for r in widths]
+    ws = [1.0] * len(xs) if widths is None else [float(r) for r in widths]
     if not xs or len(ws) != len(xs) or not all(
-        math.isfinite(x) and 0.0 <= r < math.inf for x, r in zip(xs, ws)
+        math.isfinite(x) and 0.0 < r < math.inf for x, r in zip(xs, ws)
     ):
         raise ParameterError(
             "integrate_axisymmetric requires finite, nonempty centers and one "
-            "finite width >= 0 per center"
+            "finite width > 0 per center"
         )
     inner_cfg = QuadratureConfig(rel_tol=cfg.rel_tol * 0.1, abs_tol=cfg.abs_tol * 0.1)
     w = amb.d - 2

@@ -254,6 +254,24 @@ class TestEval:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("command", ["eval", "dist"])
+    @pytest.mark.parametrize("lam", [1.0, 1.000000001], ids=["exact", "rounded"])
+    def test_cancelling_terms_are_exit_2(self, capsys, tmp_path, command, lam):
+        """B - B_lam has no quotient: at lam = 1 it is 0, and at
+        1.000000001 hs_norm_sq rounds to 0.0."""
+        doc = {
+            "d": 3,
+            "s": 1.0,
+            "terms": [
+                {"coeff": 1.0, "center": [0.0, 0.0, 0.0], "lambda": 1.0},
+                {"coeff": -1.0, "center": [0.0, 0.0, 0.0], "lambda": lam},
+            ],
+        }
+        rc, out, err = run(capsys, command, "--config", write_config(tmp_path, doc))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: the terms of u cancel")
+
     def test_unreachable_tolerance_is_exit_3_not_certified(self, capsys, tmp_path):
         cfgp = write_config(tmp_path, PAIR)
         rc, out, err = run(
@@ -481,6 +499,17 @@ class TestSweepGrid:
         assert rc == 2
         assert out == ""
         assert err.startswith("error:") and value in err
+
+    def test_cancelling_point_is_exit_2(self, capsys):
+        """c2 = -1, lambda = 1, separation 0 is u = 0: no row is written."""
+        rc, out, err = run(
+            capsys, "sweep-grid", "--d", "3", "--s", "1",
+            "--c2", "1.0,-1.0", "--lambda", "1", "--separation", "0",
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: grid point c2=-1.0 lambda=1.0 separation=0.0")
+        assert "terms of u cancel" in err
 
     def test_unreachable_tolerance_is_exit_3_with_failed_row(self, capsys):
         rc, out, err = run(

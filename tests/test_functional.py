@@ -407,6 +407,22 @@ class TestValidation:
         with pytest.raises(ParameterError):
             functional_report(concentric(AMB31, *pairs), cfg="not a config")
 
+    @pytest.mark.parametrize("lam", [1.0, 1.000000001], ids=["exact", "rounded"])
+    def test_cancelling_terms_have_no_quotient(self, lam):
+        """B - B_lam: at lam = 1 u is 0; at 1.000000001 hs_norm_sq rounds to
+        0.0.  Neither may divide by it."""
+        u = concentric(AMB31, (1.0, 1.0), (-1.0, lam))
+        for quotient in (functional_report, sobolev_quotient, be_quotient):
+            with pytest.raises(ParameterError, match="terms of u cancel"):
+                quotient(u)
+
+    def test_cancelling_terms_have_no_maximizer(self):
+        """u = B - B pairs with no probe bubble, so no grid value is positive."""
+        u = concentric(AMB31, (1.0, 1.0), (-1.0, 1.0))
+        for search in (m_value, dist_sq):
+            with pytest.raises(ParameterError, match="terms of u cancel"):
+                search(u)
+
     def test_moptimum_is_frozen(self):
         u = concentric(AMB31, (1.0, 1.0))
         mopt = m_value(u)

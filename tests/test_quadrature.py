@@ -110,6 +110,14 @@ class TestHalfLine:
         with pytest.raises(ParameterError, match="non-finite"):
             integrate_half_line(lambda r: np.where(r > 1.0, np.nan, np.exp(-r)), TIGHT)
 
+    def test_depth_limit_stops_the_call(self):
+        """(1 + r)^-1.5 is (1 - t)^-1/2 at t = 1, which no panel of depth
+        30 resolves to 1e-10: the call raises as soon as its worst panel
+        sits at the limit, not after filling the panel budget."""
+        with pytest.raises(QuadratureNonConvergence, match="depth limit") as exc:
+            integrate_half_line(lambda r: (1.0 + r) ** -1.5)
+        assert exc.value.best.evaluations < 1500
+
     def test_divergent_integrand_fails_honestly(self, monkeypatch):
         """1/r is finite at every interior node; the divergence must surface
         as non-convergence with a huge error estimate, never as a value."""
@@ -184,8 +192,12 @@ class TestAxisymmetric:
             dict(centers=(0.0, 1.0), widths=(1.0,)),
             dict(centers=(0.0,), widths=(-1.0,)),
             dict(centers=(0.0,), widths=(math.nan,)),
+            dict(centers=(0.0,), widths=(0.0,)),
         ],
-        ids=["empty", "infinite", "short-widths", "negative-width", "nan-width"],
+        ids=[
+            "empty", "infinite", "short-widths", "negative-width", "nan-width",
+            "zero-width",
+        ],
     )
     def test_rejects_bad_centers_and_widths(self, kwargs):
         with pytest.raises(ParameterError):
@@ -244,15 +256,31 @@ class TestAxisymmetric:
         res = integrate_axisymmetric(f, amb, DEFAULT_CONFIG, centers=[0.0, a])
         assert res.value == pytest.approx(math.pi**1.5, rel=1e-9)
 
+    def test_default_widths_on_nearly_coincident_centers(self):
+        """Without widths every center has unit width, so two centers
+        1e-300 apart add no ladder of breaks down to their distance."""
+        amb = Ambient(3, 1.0)
+
+        def f(c, s, rhos):
+            return np.exp(-((c + s) ** 2 + rhos * rhos))
+
+        pair = integrate_axisymmetric(f, amb, DEFAULT_CONFIG, centers=(0.0, 1.0))
+        triple = integrate_axisymmetric(
+            f, amb, DEFAULT_CONFIG, centers=(0.0, 1e-300, 1.0)
+        )
+        assert triple.value == pytest.approx(math.pi**1.5, rel=1e-9)
+        assert triple.evaluations <= 2 * pair.evaluations
+
     def test_nonfinite_integrand_rejected_in_batch(self):
         """A non-finite value in a batch of radial integrals names the
-        first panel that produced one."""
+        first panel that produced one: [0.5, 0.8], the images of one and of
+        four default unit widths."""
 
         def f(c, s, rhos):
             return np.where(rhos > 2.0, np.nan, np.exp(-((c + s) ** 2 + rhos * rhos)))
 
         with pytest.raises(
-            ParameterError, match=r"non-finite value on panel \[0\.5, 1\.0\]"
+            ParameterError, match=r"non-finite value on panel \[0\.5, 0\.8\]"
         ):
             integrate_axisymmetric(f, Ambient(3, 1.0), DEFAULT_CONFIG)
 
@@ -266,7 +294,7 @@ def _nested_reference(f, amb, cfg, centers=(0.0,), widths=None):
     evaluations."""
     inner_cfg = QuadratureConfig(rel_tol=cfg.rel_tol * 0.1, abs_tol=cfg.abs_tol * 0.1)
     w = amb.d - 2
-    ws = [0.0] * len(centers) if widths is None else list(widths)
+    ws = [1.0] * len(centers) if widths is None else list(widths)
     knots = [k * r for r in ws for k in (0.25, 1.0, 4.0)]
     inner_evals = []
 
@@ -333,6 +361,24 @@ class TestLockstepBatch:
         assert res.evaluations == evaluations
         assert res.value == pytest.approx(value, rel=1e-14)
 
+    def test_panel_budget_is_shared_by_the_batch(self, monkeypatch):
+        """At an unreachable tolerance a batch of 15 integrals stops once it
+        holds _MAX_PANELS panels in all, not _MAX_PANELS each."""
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 100)
+        nodes = 0
+
+        def g(rows, xs):
+            nonlocal nodes
+            nodes += xs.size
+            return np.exp(-(rows[:, None] + 1.0) * xs) * np.cos(30.0 * xs)
+
+        cfg = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300)
+        segments = [(g, 0.0, 0.5), (g, 0.5, 1.0)]
+        with pytest.raises(QuadratureNonConvergence, match="panel limit") as exc:
+            quadrature._integrate_segments(segments, cfg, 15)
+        assert isinstance(exc.value.best, QuadratureResult)
+        assert nodes <= 2 * 15 * 100
+
 
 class TestDeterminism:
     def test_same_inputs_same_bits(self):
@@ -348,9 +394,10 @@ class TestDeterminism:
 
 def _exact_rule_reference(f, cfg, knots=()):
     """integrate_half_line restated as the plain adaptive loop: the fsum of
-    every live panel is taken before each split, and the worst panel below
-    the subdivision limit is bisected.  Returns its QuadratureResult, or the
-    best estimate it raised QuadratureNonConvergence with."""
+    every live panel is taken before each split, and the worst panel is
+    bisected unless it already sits at the subdivision limit or the panel
+    budget is full, which ends the loop.  Returns its QuadratureResult, or
+    the best estimate it raised QuadratureNonConvergence with."""
 
     def g(ts):
         return f(ts / (1.0 - ts)) / (1.0 - ts) ** 2
@@ -375,12 +422,11 @@ def _exact_rule_reference(f, cfg, knots=()):
         result = QuadratureResult(val, err, evals)
         if err <= max(cfg.rel_tol * abs(val), cfg.abs_tol):
             return result
-        while heap:
-            _, seq, a, b, depth = heapq.heappop(heap)
-            if depth < quadrature._MAX_SUBDIVISIONS:
-                break
-        else:
+        if heap[0][4] >= quadrature._MAX_SUBDIVISIONS:
             return result
+        if len(live) >= quadrature._MAX_PANELS:
+            return result
+        _, seq, a, b, depth = heapq.heappop(heap)
         del live[seq]
         mid = 0.5 * (a + b)
         push(a, mid, depth + 1)
