@@ -22,16 +22,20 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from . import __version__
-from .bubbles import BubbleParam, Superposition, superposition_from_dict
 from .constants import Ambient, sharp_constants
 from .errors import GeometryError, ParameterError, QuadratureNonConvergence
-from .expansion import ExpansionReport, sweep
-from .functional import FunctionalReport, functional_report
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .thresholds import ThresholdReport, compare, crossover_scan
+
+# The numerical modules load numpy, so the handlers that need them import
+# them in their bodies and the closed-form subcommands start without it.
+if TYPE_CHECKING:
+    from .bubbles import BubbleParam, Superposition
+    from .expansion import ExpansionReport
+    from .functional import FunctionalReport
+    from .quadrature import QuadratureConfig
 
 __all__ = ["main"]
 
@@ -46,14 +50,19 @@ _PROVENANCE_NOTE = (
 
 
 def _fmt(x: Any) -> str:
-    """CSV cell: shortest round-trip decimal for floats, empty for None."""
+    """CSV cell: shortest round-trip decimal for floats, empty for None; text
+    holding a comma, a quote or a line break is quoted as RFC 4180 asks, with
+    its quotes doubled."""
     if x is None:
         return ""
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, float):
         return repr(x)
-    return str(x)
+    text = str(x)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _provenance(
@@ -141,6 +150,8 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _load_superposition(path: str) -> Superposition:
+    from .bubbles import superposition_from_dict
+
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -152,7 +163,12 @@ def _load_superposition(path: str) -> Superposition:
 
 
 def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+    """The quadrature config of the tolerance flags given; the others keep
+    QuadratureConfig's defaults."""
+    from .quadrature import QuadratureConfig
+
+    given = {"rel_tol": args.rel_tol, "abs_tol": args.abs_tol}
+    return QuadratureConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +273,8 @@ def _dist_payload(rep: FunctionalReport) -> dict[str, Any]:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """eval and dist: the functional report of the config, or exit 3."""
+    from .functional import functional_report
+
     u = _load_superposition(args.config)
     cfg = _quad_config(args)
     try:
@@ -296,6 +314,8 @@ def _fit_payload(report: ExpansionReport) -> dict[str, Any]:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
+    from .expansion import sweep
+
     amb = Ambient(args.d, args.s)
     cfg = _quad_config(args)
     grid = None
@@ -339,6 +359,8 @@ def _grid_row(
 ) -> list[Any]:
     """One sweep-grid row; a point whose quadrature fails carries the error
     as its status."""
+    from .functional import functional_report
+
     try:
         rep = functional_report(u, cfg)
     except QuadratureNonConvergence as exc:
@@ -356,6 +378,8 @@ def _grid_row(
 
 
 def _cmd_sweep_grid(args: argparse.Namespace) -> int:
+    from .bubbles import BubbleParam, Superposition
+
     amb = Ambient(args.d, args.s)
     cfg = _quad_config(args)
     c2s = _parse_float_list(args.c2, "--c2")
@@ -397,14 +421,8 @@ def _add_ambient(p: argparse.ArgumentParser) -> None:
 
 
 def _add_tolerances(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol,
-        help="quadrature relative tolerance",
-    )
-    p.add_argument(
-        "--abs-tol", type=float, default=DEFAULT_CONFIG.abs_tol,
-        help="quadrature absolute tolerance",
-    )
+    p.add_argument("--rel-tol", type=float, help="quadrature relative tolerance")
+    p.add_argument("--abs-tol", type=float, help="quadrature absolute tolerance")
 
 
 def _add_output(p: argparse.ArgumentParser, formats: tuple[str, ...] | None) -> None:

@@ -1,5 +1,7 @@
 """End-to-end command-line checks, run in-process through main(argv)."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 import sobstab
 from sobstab.cli import main
 from sobstab.constants import Ambient, sharp_constants
+from sobstab.errors import QuadratureNonConvergence
 from sobstab.thresholds import compare
 
 AMB31 = Ambient(3, 1.0)
@@ -527,6 +530,30 @@ class TestSweepGrid:
         assert cells[4:] == [""] * 7
         assert err == "sweep-grid: 1 grid point(s) failed\n"
 
+    @pytest.mark.parametrize(
+        "message", ["a, b", 'say "a"', "a\nb"], ids=["comma", "quote", "newline"]
+    )
+    def test_failed_row_message_is_quoted(self, capsys, monkeypatch, message):
+        """A failed point's message is one RFC 4180 cell, whatever it holds."""
+
+        def fail(u, cfg):
+            raise QuadratureNonConvergence(message)
+
+        monkeypatch.setattr("sobstab.functional.functional_report", fail)
+        rc, out, _ = run(
+            capsys, "sweep-grid", "--d", "3", "--s", "1",
+            "--c2", "1.0", "--lambda", "0.5", "--separation", "0",
+        )
+        assert rc == 3
+        body = "".join(
+            ln for ln in out.splitlines(keepends=True) if not ln.startswith("#")
+        )
+        status = f"QuadratureNonConvergence: {message}"
+        _, row = csv.reader(io.StringIO(body))
+        assert row == ["1.0", "0.5", "0.0", status] + [""] * 7
+        quoted = '"' + status.replace('"', '""') + '"'
+        assert body.split("\n", 1)[1] == f"1.0,0.5,0.0,{quoted},,,,,,,\n"
+
 
 class TestParser:
     def test_version(self, capsys):
@@ -584,31 +611,58 @@ SIGNED_CONCENTRIC = {
 }
 
 
+def _cli_probe(argv):
+    """Probe code that runs the CLI as `python -m sobstab.cli` and checks
+    that it exits 0."""
+    return (
+        f"import runpy\nsys.argv = ['sobstab', *{argv!r}]\n"
+        "try:\n    runpy.run_module('sobstab.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
+    )
+
+
+def _run_probe(code, blocked=None):
+    """Run probe code in a fresh interpreter on this checkout's sources,
+    with the module `blocked` made unimportable."""
+    block = f"sys.modules[{blocked!r}] = None\n" if blocked else ""
+    src = str(Path(sobstab.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys\n{block}{code}"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+
+
+def _assert_same_output_without(code, blocked):
+    """The probe exits 0 with the same, non-empty output whether or not the
+    module `blocked` can be imported."""
+    outputs = []
+    for block in (None, blocked):
+        proc = _run_probe(code, block)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0]
+    assert outputs[1] == outputs[0]
+
+
 class TestImportCost:
     """No part of the toolkit needs scipy.optimize: neither importing the
     package, nor a closed-form command, nor the m-search of `eval` on any
-    geometry may load it."""
+    geometry may load it.  Importing the package and the closed-form
+    commands load no numpy either."""
 
     @pytest.mark.parametrize(
         "code",
         [
             "import sobstab",
-            "import runpy; sys.argv = ['sobstab', 'constants', '--d', '3', '--s', '1']\n"
-            "try:\n    runpy.run_module('sobstab.cli', run_name='__main__')\n"
-            "except SystemExit as exc:\n    assert exc.code == 0, exc.code",
+            _cli_probe(["constants", "--d", "3", "--s", "1"]),
             _eval_probe(SIGNED_CONCENTRIC),
             _eval_probe(COLLINEAR_PAIR),
         ],
         ids=["import", "cli-constants", "eval-signed-concentric", "eval-collinear"],
     )
     def test_scipy_optimize_not_loaded(self, code):
-        src = str(Path(sobstab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        probe = f"import sys\n{code}\nprint('scipy.optimize' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _run_probe(f"{code}\nprint('scipy.optimize' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 
@@ -636,21 +690,40 @@ class TestImportCost:
             code = "import sobstab\nprint(sorted(sobstab.__all__))"
         else:
             config = write_config(tmp_path, COLLINEAR_TRIPLE)
-            argv = [config if a == "CONFIG" else a for a in argv]
+            code = _cli_probe([config if a == "CONFIG" else a for a in argv])
+        _assert_same_output_without(code, "scipy")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            None,
+            ["--version"],
+            ["constants", "--d", "5", "--s", "1"],
+            ["thresholds", "--d", "7", "--s", "1"],
+            ["crossover", "--s", "1"],
+            ["crossover", "--s", "1", "--format", "json"],
+        ],
+        ids=["import", "version", "constants", "thresholds", "crossover-csv",
+             "crossover-json"],
+    )
+    def test_light_path_runs_without_numpy(self, argv):
+        """With numpy made unimportable, the package and its closed-form
+        names import and the closed-form commands exit 0 with the output
+        they give when numpy is there."""
+        if argv is None:
             code = (
-                f"import runpy\nsys.argv = ['sobstab', *{argv!r}]\n"
-                "try:\n    runpy.run_module('sobstab.cli', run_name='__main__')\n"
-                "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
+                "import sobstab\nprint(sorted(sobstab.__all__))\n"
+                "print(sobstab.compare(sobstab.Ambient(7, 1.0)))\n"
+                "print(sobstab.QuotientVerdict, sobstab.QuadratureNonConvergence)"
             )
-        src = str(Path(sobstab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        outputs = []
-        for block in ("", "sys.modules['scipy'] = None\n"):
-            proc = subprocess.run(
-                [sys.executable, "-c", f"import sys\n{block}{code}"],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
-        assert outputs[0]
-        assert outputs[1] == outputs[0]
+        else:
+            code = _cli_probe(argv)
+        _assert_same_output_without(code, "numpy")
+
+    def test_eval_needs_numpy(self, tmp_path):
+        """The control of the probe above: the blocker does block numpy."""
+        code = _cli_probe(["eval", "--config", write_config(tmp_path, PAIR)])
+        assert _run_probe(code).returncode == 0
+        proc = _run_probe(code, "numpy")
+        assert proc.returncode != 0
+        assert "import of numpy halted" in proc.stderr

@@ -1,7 +1,9 @@
 """Every import in the package is used, exported through ``__all__``, or
-marked ``# noqa`` on its own line.  Stdlib ``ast`` stands in for a linter."""
+marked ``# noqa`` on its own line.  Stdlib ``ast`` stands in for a linter.
+The package's lazy namespace serves every name of ``__all__``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,26 @@ def test_checker(source, expected):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+class TestLazyNamespace:
+    def test_table_holds_all_but_version(self):
+        assert len(set(sobstab.__all__)) == len(sobstab.__all__)
+        assert set(sobstab._HOMES) == set(sobstab.__all__) - {"__version__"}
+
+    @pytest.mark.parametrize("name", sorted(sobstab._HOMES))
+    def test_name_is_its_home_object(self, name):
+        home = importlib.import_module(f"sobstab.{sobstab._HOMES[name]}")
+        assert getattr(sobstab, name) is getattr(home, name)
+
+    def test_dir_and_star_import(self):
+        assert {"__all__", *sobstab.__all__} <= set(dir(sobstab))
+        namespace = {}
+        exec("from sobstab import *", namespace)
+        for name in sobstab.__all__:
+            assert namespace[name] is getattr(sobstab, name)
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(sobstab, "no_such_name")
+        assert not hasattr(sobstab, "no_such_name")
