@@ -55,8 +55,9 @@ __all__ = [
     "superposition_to_dict",
 ]
 
-# Centers closer than this to the first (relative to the cloud size) coincide;
-# offsets from the axis below this (relative to the cloud's extent) lie on it.
+# Centers closer than this to the first (relative to the cloud size or the
+# narrowest bubble's width) coincide; offsets from the axis below this
+# (relative to the cloud's extent) lie on it.
 _CENTER_TOL = 1e-14
 
 
@@ -119,9 +120,10 @@ def _frame(u: Superposition) -> tuple[Geometry, np.ndarray, np.ndarray, np.ndarr
     The axis points from the first center to the farthest one; when all
     centers coincide it is the first basis vector, so the same frame serves
     searches around the common center.  The cloud is CONCENTRIC when every
-    center lies within _CENTER_TOL of the first, relative to the cloud size,
-    and COLLINEAR when every offset from the axis lies within _CENTER_TOL of
-    the cloud's extent.
+    center lies within _CENTER_TOL of the first, relative to the larger of
+    the cloud size and the width 1/lambda of its narrowest bubble, and
+    COLLINEAR when every offset from the axis lies within _CENTER_TOL of the
+    cloud's extent.
     """
     centers = np.array([t.center for t in u.terms], dtype=float)
     p0 = centers[0]
@@ -135,7 +137,8 @@ def _frame(u: Superposition) -> tuple[Geometry, np.ndarray, np.ndarray, np.ndarr
         return Geometry.CONCENTRIC, p0, e, np.zeros(len(centers))
     e = diffs[int(norms.argmax())] / extent
     pos = diffs @ e
-    if extent <= _CENTER_TOL * max(1.0, float(np.abs(centers).max())):
+    width = 1.0 / max(t.scale for t in u.terms)
+    if extent <= _CENTER_TOL * max(width, float(np.abs(centers).max())):
         geo = Geometry.CONCENTRIC
     elif np.hypot.reduce(diffs - pos[:, None] * e, 1).max() <= _CENTER_TOL * extent:
         geo = Geometry.COLLINEAR
@@ -207,19 +210,20 @@ def _log_profile(bexp: float, log_lam: float, vs: np.ndarray) -> np.ndarray:
     return bexp * log_lam - bexp * np.logaddexp(0.0, 2.0 * (vs + log_lam))
 
 
-def _conformal_ratio(l1, l2, r2):
-    """Concentric-equivalent scale ratio t >= 1 for bubbles with scales
-    l1, l2 and squared center distance r2 (scalars or broadcasting arrays).
+def _conformal_invariant(l1, l2, dist):
+    """e = t + 1/t - 2 = (l1 - l2)^2/(l1 l2) + l1 l2 dist^2 of bubbles with
+    scales l1, l2 at center distance dist (scalars or broadcasting arrays),
+    and its legs (l1 - l2)/g and g dist, g = sqrt(l1) sqrt(l2).
 
     The H^s pairing of two bubbles is conformally invariant, hence a function
-    of the single invariant t + 1/t = l1/l2 + l2/l1 + l1*l2*r2 alone; t is
-    the ratio that a concentric pair with the same invariant would have.
-    The excess e = t + 1/t - 2 is assembled cancellation-free, and the root
-    is taken as sqrt(e) sqrt(e + 4) so that no product overflows.
+    of e alone; t >= 1 is the scale ratio of the concentric pair with the
+    same e.  The legs stay finite for every scale in the float range, where
+    l1 l2 may not; e, the sum of their squares, is inf past it (F = 0).
     """
-    p = l1 * l2
-    e = (l1 - l2) ** 2 / p + p * r2
-    return 1.0 + 0.5 * (e + np.sqrt(e) * np.sqrt(e + 4.0))
+    g = np.sqrt(l1) * np.sqrt(l2)
+    with np.errstate(over="ignore"):
+        p, q = (l1 - l2) / g, g * dist
+        return p * p + q * q, (p, q)
 
 
 # Stirling's series for log Gamma: the coefficients B_2k / (2k (2k - 1)),
@@ -339,17 +343,19 @@ def _powers(x: np.ndarray, k: int) -> np.ndarray:
     return p
 
 
-def _pair_kernel(amb: Ambient, t) -> np.ndarray:
-    """Normalized two-bubble pairing F(t) = (B_{x1,l1}, B_{x2,l2}^(2*-1)) at
-    conformal ratio t >= 1 (see _conformal_ratio), vectorized over t.
+def _pair_kernel(amb: Ambient, e) -> np.ndarray:
+    """Normalized two-bubble pairing F = (B_{x1,l1}, B_{x2,l2}^(2*-1)) at
+    conformal invariant e = t + 1/t - 2 >= 0 (see _conformal_invariant),
+    vectorized over e; F = 0 at e = inf.
 
-    Euler's integral gives F(t) = t^a 2F1(a, d/2; d; 1 - t^2) with
-    a = (d-2s)/2 (DLMF 15.6.1), and F(1) = 1.  Because c = 2b, the quadratic
-    transformation DLMF 15.8.13 turns it into
+    Euler's integral gives F = t^a 2F1(a, d/2; d; 1 - t^2) with
+    a = (d-2s)/2 (DLMF 15.6.1), and F = 1 at e = 0.  Because c = 2b, the
+    quadratic transformation DLMF 15.8.13 turns it into
 
-        F(t) = w^A 2F1(A, B; C; 1 - w),   w = sech(u)^2,  u = log t,
+        F = w^A 2F1(A, B; C; 1 - w),   w = sech(u)^2,  u = log t,
 
-    with A = a/2, B = A + 1/2, C = (d+1)/2 and C - A - B = s.  Near, while
+    with A = a/2, B = A + 1/2, C = (d+1)/2, C - A - B = s and
+    sech(u) = 2/(2 + e).  Near, while
     tanh(u)^2 = 1 - w <= 1/2, the Maclaurin series in 1 - w is summed.  Far,
     while w <= 1/2, the connection formula DLMF 15.8.4 expands 2F1 in powers
     of w and w^s.  Write s = m + eps with m an integer: both of its series
@@ -363,8 +369,8 @@ def _pair_kernel(amb: Ambient, t) -> np.ndarray:
     baby steps by matrix products and giant steps by Horner's rule.
     """
     eps, table = _kernel_series(amb)
-    t = np.asarray(t, dtype=float)
-    sech = (2.0 / (t + 1.0 / t)).ravel()  # 0 at t = inf
+    e = np.asarray(e, dtype=float)
+    sech = (2.0 / (2.0 + e)).ravel()  # 0 at e = inf
     w = sech * sech
     x = np.minimum(w, 1.0 - w)
     powers = _powers(x, _BABY_STEPS)
@@ -374,12 +380,12 @@ def _pair_kernel(amb: Ambient, t) -> np.ndarray:
     for block in terms[-2::-1]:
         v *= giant
         v += block
-    # At t = inf, where sech^a = 0, log w is clipped to its value at the
-    # largest finite t.
+    # At e = inf, where sech^a = 0, log w is clipped to its value at the
+    # largest finite e.
     log_w = 2.0 * np.log(np.maximum(sech, 2.0 / sys.float_info.max))
     p = np.expm1(eps * log_w) / eps if eps else log_w
     f = np.where(w > 0.5, v[0], v[1] - p * v[2])
-    return (sech**amb.beta_exp * f).reshape(t.shape)
+    return (sech**amb.beta_exp * f).reshape(e.shape)
 
 
 def _pairings(
@@ -390,10 +396,9 @@ def _pairings(
     centers = np.array([b.center for b in terms])
     scales = np.array([b.scale for b in terms])
     n = len(us)
-    with np.errstate(over="ignore"):  # t overflows to inf, where F = 0
-        r2 = np.square(centers[:n, None] - centers[n:]).sum(axis=-1)
-        t = _conformal_ratio(scales[:n, None], scales[n:], r2)
-    return _pair_kernel(amb, t)
+    dist = np.hypot.reduce(centers[:n, None] - centers[n:], axis=-1)
+    e, _ = _conformal_invariant(scales[:n, None], scales[n:], dist)
+    return _pair_kernel(amb, e)
 
 
 def _pair_radial(amb: Ambient, axial: tuple, a, z) -> np.ndarray:
@@ -404,10 +409,9 @@ def _pair_radial(amb: Ambient, axial: tuple, a, z) -> np.ndarray:
     traced benchmark (bench/spans.py) counts its calls under this name."""
     coeffs, pos, lams = axial
     a, z = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(z, dtype=float))
-    with np.errstate(over="ignore"):  # t overflows to inf, where F = 0
-        r2 = np.square(pos[:, None] - a.ravel())
-        t = _conformal_ratio(lams[:, None], np.exp(z.ravel()), r2)
-    return (coeffs @ _pair_kernel(amb, t)).reshape(a.shape)
+    dist = pos[:, None] - a.ravel()
+    e, _ = _conformal_invariant(lams[:, None], np.exp(z.ravel()), dist)
+    return (coeffs @ _pair_kernel(amb, e)).reshape(a.shape)
 
 
 def pair_against_bubble(u: Superposition, h: BubbleParam) -> float:
@@ -439,16 +443,6 @@ def hs_inner(u: Superposition, v: Superposition) -> float:
 def hs_norm_sq(u: Superposition) -> float:
     """Squared H^s seminorm ||(-Delta)^(s/2) u||_2^2."""
     return hs_inner(u, u)
-
-
-def _log_conformal_ratio(b1: BubbleParam, b2: BubbleParam) -> float:
-    """log of the _conformal_ratio t of two bubbles, formed without t or the
-    squared center distance, so it stays finite for separations whose square
-    overflows: with u = log t, 4 sinh(u/2)^2 = t + 1/t - 2 =
-    (l1 - l2)^2/(l1 l2) + l1 l2 |x1 - x2|^2."""
-    g = math.sqrt(b1.scale) * math.sqrt(b2.scale)
-    gap = math.hypot(abs(b1.scale - b2.scale) / g, g * math.dist(b1.center, b2.center))
-    return 2.0 * math.asinh(0.5 * gap)
 
 
 def _radial_norm(amb: Ambient, cfg: QuadratureConfig, log_lams: list) -> float:
@@ -493,9 +487,10 @@ def lp_norm(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
         return _radial_norm(amb, cfg, [(t.coeff, math.log(t.scale)) for t in u.terms])
     if len(u.terms) == 2:
         b1, b2 = u.terms
-        return _radial_norm(
-            amb, cfg, [(b1.coeff, 0.0), (b2.coeff, _log_conformal_ratio(b1, b2))]
-        )
+        dist = math.dist(b1.center, b2.center)
+        _, legs = _conformal_invariant(b1.scale, b2.scale, dist)
+        log_t = 2.0 * math.asinh(0.5 * math.hypot(*legs))  # e = 4 sinh(log_t/2)^2
+        return _radial_norm(amb, cfg, [(b1.coeff, 0.0), (b2.coeff, log_t)])
     if geo is Geometry.GENERAL:
         raise GeometryError("lp_norm requires concentric or collinear centers")
 

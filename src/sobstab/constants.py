@@ -140,71 +140,56 @@ def sphere_area(d: int) -> float:
 
 
 def normalization_c(amb: Ambient) -> float:
-    """Profile normalization c_d with ||B||_{2*} = 1.
-
-    Since |B|^{2*} = c_d^{2*} (1+r^2)^{-d}, the unit-norm condition reads
-    c_d^{2*} |S^{d-1}| beta_half_line(d-1, d) = 1.
-    """
-    total = sphere_area(amb.d) * beta_half_line(amb.d - 1, amb.d)
-    return total ** (-1.0 / amb.two_star)
-
-
-def _eigen_factor(amb: Ambient) -> float:
-    """A_ds = 2^(2s) Gamma((d+2s)/2) / Gamma((d-2s)/2)."""
-    d, s = amb.d, amb.s
-    return _gamma_ratio(((d + 2.0 * s) / 2.0,), ((d - 2.0 * s) / 2.0,), 2.0, 2.0 * s)
+    """Profile normalization c_d with ||B||_{2*} = 1 (see sharp_constants)."""
+    return sharp_constants(amb).c_d
 
 
 def sharp_constant(amb: Ambient) -> float:
-    """Sharp Sobolev constant S_d = A_ds * c_d^(2-2*).
-
-    Derived from (-Delta)^s [ (1+|x|^2)^(-(d-2s)/2) ] = A_ds (1+|x|^2)^(-(d+2s)/2)
-    together with the normalization; see the module docstring for why this is
-    a derivation rather than a quoted value.
-    """
-    return _eigen_factor(amb) * normalization_c(amb) ** (2.0 - amb.two_star)
+    """Sharp Sobolev constant S_d = A_ds * c_d^(2-2*) (see sharp_constants)."""
+    return sharp_constants(amb).S_d
 
 
 def appendix_constants(amb: Ambient) -> tuple[float, float, float]:
-    """Interaction constants (c0, a_d, b_d) for the two-bubble expansion.
-
-    c0  = c_d^{2*} |S^{d-1}| beta_half_line(d-1, (d+2s)/2)   (> 0)
-    a_d = -c_d^{2*} (d-2s)/(2(d+1)) * Gamma((d+2)/2) Gamma(d/2) / Gamma(d+1)
-    b_d = -c_d^{2*} (d-2s)/(2(d+2s)) * Gamma(d/2) Gamma(s) / Gamma((d+2s)/2)
-
-    Both a_d and b_d are strictly negative for every admissible (d, s): the
-    concentric pairing is maximal at equal scales and the cross term pulls the
-    maximizer scale down.
-    """
-    d, s = amb.d, float(amb.s)
-    c_pow = normalization_c(amb) ** amb.two_star
-    # beta_half_line(d-1, (d+2s)/2) with Gamma(s) taken at s itself: formed
-    # as (d+2s)/2 - d/2, the argument would lose digits as s -> 0.
-    cross = _gamma_ratio((d / 2.0, s), ((d + 2.0 * s) / 2.0,))
-    c0 = c_pow * sphere_area(d) * 0.5 * cross
-    a_d = (
-        -c_pow
-        * (d - 2.0 * s)
-        / (2.0 * (d + 1.0))
-        * _gamma_ratio(((d + 2.0) / 2.0, d / 2.0), (d + 1.0,))
-    )
-    b_d = -c_pow * (d - 2.0 * s) / (2.0 * (d + 2.0 * s)) * cross
-    return c0, a_d, b_d
+    """Interaction constants (c0, a_d, b_d) for the two-bubble expansion
+    (see sharp_constants); a_d and b_d are negative for every (d, s)."""
+    cst = sharp_constants(amb)
+    return cst.c0, cst.a_d, cst.b_d
 
 
 @lru_cache(maxsize=None)
 def sharp_constants(amb: Ambient) -> SharpConstants:
-    """All constants for one ambient, computed eagerly and cached.
+    """All constants for one ambient, each one Gamma ratio, cached.
 
-    Raises ParameterError when d is so large that a constant leaves the
-    float range (overflows, or underflows to 0), or that d + 2s rounds to d.
+    The unit-norm condition c_d^{2*} |S^{d-1}| beta_half_line(d-1, d) = 1
+    gives the primary form c_d^{2*} = Gamma(d) / (pi^(d/2) Gamma(d/2)), and
+    S_d = A_ds (c_d^{2*})^(-2s/d) is Lieb's form.  The appendix constants
+
+        c0  = c_d^{2*} |S^{d-1}| beta_half_line(d-1, (d+2s)/2)
+            = Gamma(d) Gamma(s) / (Gamma(d/2) Gamma((d+2s)/2)),
+        a_d = -c_d^{2*} (d-2s)/(2(d+1)) Gamma((d+2)/2) Gamma(d/2) / Gamma(d+1)
+            = -(d-2s)/(4(d+1)) Gamma(d/2) / pi^(d/2),
+        b_d = -c_d^{2*} (d-2s)/(2(d+2s)) Gamma(d/2) Gamma(s) / Gamma((d+2s)/2)
+            = -(d-2s)/(2(d+2s)) Gamma(d) Gamma(s) / (pi^(d/2) Gamma((d+2s)/2)),
+
+    take no power of a rounded c_d, and Gamma(s) is taken at s itself, since
+    (d+2s)/2 - d/2 would lose digits as s -> 0.  Raises ParameterError when
+    d is so large that a constant leaves the float range (overflows, or
+    underflows to 0).
     """
+    d, s = amb.d, amb.s
     try:
-        c0, a_d, b_d = appendix_constants(amb)
-        c_d, A_ds = normalization_c(amb), _eigen_factor(amb)
-        S_d = sharp_constant(amb)
-        values = (c_d, A_ds, S_d, c0, a_d, b_d)
-    except (OverflowError, ZeroDivisionError, ParameterError):
+        c_pow = _gamma_ratio((d,), (d / 2.0,), math.pi, -d / 2.0)
+        up, down = (d + 2.0 * s) / 2.0, (d - 2.0 * s) / 2.0
+        A_ds = _gamma_ratio((up,), (down,), 2.0, 2.0 * s)
+        values = (
+            c_pow ** (1.0 / amb.two_star),
+            A_ds,
+            A_ds * c_pow ** (-2.0 * s / d),
+            _gamma_ratio((d, s), (d / 2.0, up)),
+            -down / (2.0 * (d + 1.0)) * _gamma_ratio((d / 2.0,), (), math.pi, -d / 2.0),
+            -down / (2.0 * up) * _gamma_ratio((d, s), (up,), math.pi, -d / 2.0),
+        )
+    except (OverflowError, ZeroDivisionError):
         values = (math.nan,)
     if not all(math.isfinite(v) and v != 0.0 for v in values):
         raise ParameterError(

@@ -19,12 +19,7 @@ __all__ = [
     "QuotientSextuple",
     "QuotientVerdict",
     "quotient_compare",
-    "SERIES_THRESHOLD",
 ]
-
-# Below this eta the direct evaluation of ((1+eta^p)^(2/p) - 1)/eta^2 loses
-# roughly eight digits to cancellation for p near 2; switch to the series.
-SERIES_THRESHOLD = 1e-4
 
 
 def convex_g(p: float, t: float) -> float:
@@ -39,23 +34,16 @@ def convex_g(p: float, t: float) -> float:
 def monotone_quotient(p: float, eta: float) -> float:
     """((1 + eta^p)^(2/p) - 1) / eta^2, strictly increasing in eta for p > 2.
 
-    For eta < 1e-4 the numerator is evaluated by the three-term binomial
-    series q*eta^p + q(q-1)/2*eta^(2p) + q(q-1)(q-2)/6*eta^(3p) with q = 2/p;
-    the truncation error is O(eta^(4p-2)), far below double precision there.
-    Above the threshold the numerator goes through expm1/log1p (for large p
-    the naive form rounds 1 + eta^p to 1 well before eta reaches the series
-    regime); for eta >= 1 the whole quotient is rescaled by eta^-2 so that
-    eta^p can never overflow.
+    Below eta = 1 the numerator goes through expm1/log1p, which keeps its
+    relative accuracy however small eta^p is (the naive form rounds
+    1 + eta^p to 1); for eta >= 1 the whole quotient is rescaled by eta^-2
+    so that eta^p can never overflow.
     """
     if not p > 2.0:
         raise ParameterError(f"p must be > 2, got {p}")
     if not eta > 0.0:
         raise ParameterError(f"eta must be > 0, got {eta}")
     q = 2.0 / p
-    if eta < SERIES_THRESHOLD:
-        x = eta**p
-        series = q * x * (1.0 + (q - 1.0) / 2.0 * x * (1.0 + (q - 2.0) / 3.0 * x))
-        return series / (eta * eta)
     if eta >= 1.0:
         inv2 = 1.0 / (eta * eta)
         return (1.0 + inv2 ** (p / 2.0)) ** q - inv2

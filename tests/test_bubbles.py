@@ -10,7 +10,7 @@ from sobstab.bubbles import (
     BubbleParam,
     Geometry,
     Superposition,
-    _conformal_ratio,
+    _conformal_invariant,
     dilate,
     evaluate,
     hs_inner,
@@ -343,8 +343,8 @@ class TestPairings:
         scale ratio of the pair."""
         u = single(AMB31, scale=l1)
         direct = pair_against_bubble(u, BubbleParam(1.0, x2, l2))
-        r2 = sum(c * c for c in x2)
-        t = _conformal_ratio(l1, l2, r2)
+        _, legs = _conformal_invariant(l1, l2, math.hypot(*x2))
+        t = math.exp(2.0 * math.asinh(0.5 * math.hypot(*legs)))
         reduced = pair_against_bubble(
             single(AMB31, scale=t), BubbleParam(1.0, ORIGIN3, 1.0)
         )
@@ -710,6 +710,45 @@ class TestLpNorm:
             ),
         )
         assert lp_norm(u) == pytest.approx(expected, rel=1e-10)
+
+
+def scaled_pair(lam, sep=0.0):
+    """(1 at 0, lambda lam) and (0.5 at sep/lam e_1, lambda 0.3 lam): the
+    dilation by lam of the pair at lam = 1, which every quantity ignores."""
+    return Superposition(
+        AMB31,
+        (
+            BubbleParam(1.0, ORIGIN3, lam),
+            BubbleParam(0.5, (sep / lam, 0.0, 0.0), 0.3 * lam),
+        ),
+    )
+
+
+class TestScaleRange:
+    """Dilation invariance at scales where lambda^2, or the product of two
+    scales, leaves the float range."""
+
+    @pytest.mark.parametrize("lam", [1e200, 1e-200, 1e300, 1e-300])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda lam: single(AMB31, scale=lam), scaled_pair],
+        ids=["single", "pair"],
+    )
+    def test_far_scales_match_unit_scale(self, make, lam):
+        u, ref = make(lam), make(1.0)
+        assert hs_norm_sq(u) == pytest.approx(hs_norm_sq(ref), rel=1e-13)
+        assert m_value(u).value == pytest.approx(m_value(ref).value, rel=1e-13)
+        assert lp_norm(u) == pytest.approx(lp_norm(ref), rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [1e15, 1e100, 1e-100])
+    def test_narrow_separated_pair_stays_collinear(self, lam):
+        """Centers 1.5 widths apart stay apart at every scale, also where
+        the widths are far below the unit length (from lambda = 1.5e14 on,
+        a unit-scale concentric test would merge them)."""
+        u, ref = scaled_pair(lam, 1.5), scaled_pair(1.0, 1.5)
+        assert u.geometry is Geometry.COLLINEAR
+        assert m_value(u).value == pytest.approx(m_value(ref).value, rel=1e-13)
+        assert lp_norm(u) == pytest.approx(lp_norm(ref), rel=1e-12)
 
 
 class TestSchema:

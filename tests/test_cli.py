@@ -90,10 +90,10 @@ class TestConstants:
         assert rc == 2
         assert "error:" in err
 
-    @pytest.mark.parametrize("d", ["326", "1" + "0" * 400], ids=["326", "401-digit"])
+    @pytest.mark.parametrize("d", ["328", "1" + "0" * 400], ids=["328", "401-digit"])
     def test_too_large_d_is_exit_2(self, capsys, d):
-        """At d = 326 the constants leave the float range; a 401-digit d
-        does not convert to a float at all."""
+        """At d = 328, c_d^(2*) = Gamma(d)/(pi^(d/2) Gamma(d/2)) leaves the
+        float range; a 401-digit d does not convert to a float at all."""
         rc, out, err = run(capsys, "constants", "--d", d, "--s", "1")
         assert rc == 2
         assert out == ""
@@ -178,6 +178,18 @@ class TestEval:
         assert rc == 0
         assert 0.0 < doc["be_quotient"] < compare(AMB31).c_two_peak
         assert len(doc["m"]["all_local_maxima"]) == 2
+
+    def test_single_bubble_at_huge_scale(self, capsys, tmp_path):
+        """At lambda = 1e200, lambda^2 overflows; the report must be the one
+        at lambda = 3."""
+        huge = dict(SINGLE, terms=[dict(SINGLE["terms"][0], **{"lambda": 1e200})])
+        rc, out, err = run(capsys, "eval", "--config", write_config(tmp_path, huge))
+        assert rc == 0, err
+        _, ref, _ = run(capsys, "eval", "--config", write_config(tmp_path, SINGLE))
+        got, ref = json.loads(out), json.loads(ref)
+        assert got["hs_norm_sq"] == pytest.approx(ref["hs_norm_sq"], rel=1e-13)
+        assert got["lp_norm"] == pytest.approx(ref["lp_norm"], rel=1e-12)
+        assert got["m"]["value"] == pytest.approx(ref["m"]["value"], rel=1e-13)
 
     def test_far_collinear_pair_quotient_is_positive(self, capsys, tmp_path):
         """At separation 1e20 the pair has decoupled: its norm is

@@ -120,11 +120,16 @@ class TestClosedForms:
 
     @pytest.mark.parametrize(
         "d, s",
-        [(3, 1.0), (5, 1.0), (12, 1.0), (4, 1.3), (12, 0.05), (3, 1e-8), (12, 1e-8)],
+        [
+            (3, 1.0), (5, 1.0), (12, 1.0), (4, 1.3), (12, 0.05), (3, 1e-8),
+            (12, 1e-8), (11, 5.4),
+        ],
     )
     def test_all_constants_match_mpmath(self, d, s):
         """Every constant against its Gamma-function form at 40 digits; at
-        s = 1e-8, c0 used to be 6e-9 off through the argument (d+2s)/2 - d/2."""
+        s = 1e-8, c0 used to be 6e-9 off through the argument (d+2s)/2 - d/2,
+        and at (11, 5.4), where 2* = 110, a power of a rounded c_d puts S_d,
+        c0, a_d and b_d 1.3e-14 to 1.5e-14 off."""
         mp = pytest.importorskip("mpmath")
         cst = sharp_constants(Ambient(d, s))
         with mp.workdps(40):
@@ -194,6 +199,25 @@ class TestCrossIdentities:
         inf - inf; the error must name d, with no numpy warning."""
         with pytest.raises(ParameterError, match=r"^d = 10+ is too large"):
             sharp_constants(Ambient(10**308, s))
+
+    def test_last_dimension_in_range(self):
+        """At s = 1, d = 327 is the last dimension whose c_d^(2*) is a float,
+        and every constant is finite up to it: none is formed through a
+        product that overflows before c_d^(2*) does."""
+        cst = sharp_constants(Ambient(327, 1.0))
+        assert all(
+            math.isfinite(v) and v != 0.0
+            for v in (cst.c_d, cst.A_ds, cst.S_d, cst.c0, cst.a_d, cst.b_d)
+        )
+        with pytest.raises(ParameterError, match=r"^d = 328 is too large"):
+            sharp_constants(Ambient(328, 1.0))
+
+    @pytest.mark.parametrize(
+        "fn", [normalization_c, sharp_constant, appendix_constants]
+    )
+    def test_readers_raise_where_the_set_does(self, fn):
+        with pytest.raises(ParameterError, match=r"^d = 328 is too large"):
+            fn(Ambient(328, 1.0))
 
     def test_cache_returns_same_object(self):
         assert sharp_constants(AMB31) is sharp_constants(Ambient(3, 1.0))

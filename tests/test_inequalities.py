@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from sobstab.errors import HypothesisError, ParameterError
 from sobstab.inequalities import (
-    SERIES_THRESHOLD,
     QuotientSextuple,
     QuotientVerdict,
     convex_g,
@@ -70,10 +69,10 @@ class TestMonotoneQuotient:
         )
 
     def test_series_matches_longdouble_direct_at_seam(self):
-        """Just below the series threshold the three-term series must agree
-        with an extended-precision expm1/log1p evaluation (the naive direct
-        form loses ~10 digits to cancellation there and cannot serve as an
-        oracle)."""
+        """Just below eta = 1e-4, where a three-term binomial series once
+        took over, the quotient must agree with an extended-precision
+        expm1/log1p evaluation (the naive direct form loses ~10 digits to
+        cancellation there and cannot serve as an oracle)."""
         for p in (2.5, 3.0, 4.0, 6.0, 10.0):
             for eta in (9.999e-5, 5e-5, 1e-5):
                 got = monotone_quotient(p, eta)
@@ -82,11 +81,21 @@ class TestMonotoneQuotient:
                 direct = float(np.expm1(q * np.log1p(e**p)) / (e * e))
                 assert got == pytest.approx(direct, rel=1e-13)
 
-    def test_continuity_across_threshold(self):
-        for p in (2.5, 4.0, 10.0):
-            below = monotone_quotient(p, SERIES_THRESHOLD * (1.0 - 1e-9))
-            above = monotone_quotient(p, SERIES_THRESHOLD * (1.0 + 1e-9))
-            assert below == pytest.approx(above, rel=1e-7)
+    def test_small_eta_matches_mpmath(self):
+        """Over eta in [1e-12, 1e-4] and p in [2.001, 20] against 50 digits.
+        The oracle needs expm1/log1p too: at 50 digits (1 + x)^q - 1 with
+        x = eta^p still rounds to 0."""
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mp.workdps(50):
+            for p in (2.001, 2.1, 2.5, 3.0, 4.0, 7.0, 12.0, 20.0):
+                for eta in np.geomspace(1e-12, 1e-4, 17):
+                    eta = float(eta)
+                    e, q = mp.mpf(eta), 2 / mp.mpf(p)
+                    ref = mp.expm1(q * mp.log1p(e**p)) / (e * e)
+                    err = abs(monotone_quotient(p, eta) - ref) / ref
+                    worst = max(worst, float(err))
+        assert worst <= 2e-15
 
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0, 10.0])
     def test_strictly_increasing(self, p):

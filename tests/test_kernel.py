@@ -34,6 +34,16 @@ def _s_values(d):
 AMBIENTS = [(d, s) for d in range(1, 13) for s in _s_values(d)]
 
 
+def excess(ts):
+    """The kernel's argument e = t + 1/t - 2 = (t - 1)^2/t at ratios ts,
+    with e = inf at t = inf."""
+    ts = np.asarray(ts, dtype=float)
+    e = np.full(ts.shape, np.inf)
+    fin = np.isfinite(ts)
+    e[fin] = (ts[fin] - 1.0) * ((ts[fin] - 1.0) / ts[fin])
+    return e
+
+
 def f_ref(t, d, s):
     with mp.workdps(DPS):
         t = mp.mpf(t)
@@ -79,7 +89,7 @@ T_GRID = np.unique(
 
 @pytest.mark.parametrize("d, s", AMBIENTS)
 def test_kernel_matches_mpmath(d, s):
-    got = _pair_kernel(Ambient(d, s), T_GRID)
+    got = _pair_kernel(Ambient(d, s), excess(T_GRID))
     for t, f in zip(T_GRID, got):
         ref = f_ref(t, d, s)
         assert abs(f - ref) <= 1e-10 * ref + 1e-15, (t, f, float(ref))
@@ -98,7 +108,7 @@ NEAR_INTEGER = [
 @pytest.mark.parametrize("d, s", NEAR_INTEGER)
 def test_kernel_near_integer_s_matches_mpmath(d, s):
     ts = np.concatenate([T_GRID, np.geomspace(9.0, 1e4, 25)])
-    got = _pair_kernel(Ambient(d, s), ts)
+    got = _pair_kernel(Ambient(d, s), excess(ts))
     for t, f in zip(ts, got):
         ref = f_ref(t, d, s)
         assert abs(f - ref) <= 1e-10 * ref + 1e-15, (t, f, float(ref))
@@ -107,7 +117,7 @@ def test_kernel_near_integer_s_matches_mpmath(d, s):
 @pytest.mark.parametrize("d, s", AMBIENTS)
 def test_kernel_bounded_up_to_huge_ratios(d, s):
     ts = np.concatenate([np.geomspace(1.0, 1e300, 301), [math.inf]])
-    f = _pair_kernel(Ambient(d, s), ts)
+    f = _pair_kernel(Ambient(d, s), excess(ts))
     assert np.all(np.isfinite(f))
     assert np.all((f >= 0.0) & (f <= 1.0))
     assert abs(f[0] - 1.0) <= 1e-15
