@@ -401,6 +401,11 @@ def _pairings(
     return _pair_kernel(amb, e)
 
 
+# Kernel elements (probes x terms) per _pair_radial block: the kernel's power
+# table stays at 128 KiB, glibc's default mmap threshold, and so page-fault free.
+_PAIR_BLOCK = 1024
+
+
 def _pair_radial(amb: Ambient, axial: tuple, a, z) -> np.ndarray:
     """Pairings (u, B_{a, e^z}^(2*-1)) = sum_i c_i F(t_i) of the bubbles
     axial = (coeffs, positions, scales) on one axis with the unit probes of
@@ -409,9 +414,14 @@ def _pair_radial(amb: Ambient, axial: tuple, a, z) -> np.ndarray:
     traced benchmark (bench/spans.py) counts its calls under this name."""
     coeffs, pos, lams = axial
     a, z = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(z, dtype=float))
-    dist = pos[:, None] - a.ravel()
-    e, _ = _conformal_invariant(lams[:, None], np.exp(z.ravel()), dist)
-    return (coeffs @ _pair_kernel(amb, e)).reshape(a.shape)
+    shape, a, z = a.shape, a.ravel(), z.ravel()
+    out = np.empty(a.size)
+    step = max(1, _PAIR_BLOCK // len(coeffs))
+    for k in range(0, a.size, step):
+        dist = pos[:, None] - a[k : k + step]
+        e, _ = _conformal_invariant(lams[:, None], np.exp(z[k : k + step]), dist)
+        out[k : k + step] = coeffs @ _pair_kernel(amb, e)
+    return out.reshape(shape)
 
 
 def pair_against_bubble(u: Superposition, h: BubbleParam) -> float:

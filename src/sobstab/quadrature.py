@@ -3,7 +3,9 @@ axisymmetric geometry about an axis through any number of centers.
 
 One engine underlies everything: a 15-point Kronrod rule with its embedded
 7-point Gauss estimate, applied to panels of a transformed integrand and
-refined adaptively (worst panel first, split at the midpoint).  Semi-infinite
+refined adaptively in bulk (as in Shampine's vectorized quadrature, 2008):
+each step bisects, worst first, as many panels as it takes to leave the rest
+within half the tolerance.  Semi-infinite
 directions are compactified algebraically, r = t/(1-t), which maps the
 algebraic decay of every integrand here (r^-(d+2s) or faster) to regular
 endpoint behavior -- no cutoff parameter.  The axisymmetric integrator cuts
@@ -11,11 +13,12 @@ the axis midway between its centers and compactifies each half-cell the same
 way from its own center, so each bubble is resolved however far the others.
 
 The engine refines a batch of integrals over the same initial segments in
-lockstep: each step splits the worst panel of every integral not yet
-converged and evaluates all the new panels in one vectorized call.  Each
-integral keeps the panel order and termination rule it would have alone, so
-its result does not depend on the batch.  The radial integrals at the nodes
-of an axial panel are one such batch.
+lockstep: each step refines every integral not yet converged and evaluates
+all the new panels with one vectorized call per integrand.  Each integral
+keeps the panel order and termination rule it would have alone, so its
+result does not depend on the batch; only the panel budget is shared.  The
+radial integrals at the nodes of all the axial panels that one outer step
+evaluates are one such batch.
 
 Half-line and real-line integrands are numpy-vectorized: each call receives
 a 1-D ndarray of nodes and must return an array of the same shape.
@@ -23,9 +26,9 @@ a 1-D ndarray of nodes and must return an array of the same shape.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -79,8 +82,13 @@ _WGAUSS[[1, 3, 5]] = _WG[:3]
 _WGAUSS[7] = _WG[3]
 _WGAUSS[[9, 11, 13]] = _WG[2::-1]
 
-_MAX_PANELS = 20000  # held by one call, over its whole batch
+_MAX_PANELS = 20000  # held by one call, per 15 integrals it refines
 _MAX_SUBDIVISIONS = 30  # bisections of one panel
+# A panel whose estimate is within this fraction of its integral of |g| is
+# not bisected: the estimate is roundoff, which bisection does not reduce
+# (QUADPACK's dqk21 floors its estimates there, at 50 eps).
+_ROUNDOFF = 50 * 2.0**-52
+_NEG_ERR, _DEPTH, _VAL = itemgetter(0), itemgetter(4), itemgetter(5)
 
 
 @dataclass(frozen=True)
@@ -114,9 +122,9 @@ class QuadratureResult:
 
 
 def _lift(f: Callable) -> Callable:
-    """Lift a vectorized 1-D integrand to the engine's (rows, xs) contract."""
+    """Check a vectorized 1-D integrand's output against its nodes."""
 
-    def g(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    def g(xs: np.ndarray) -> np.ndarray:
         nodes = xs.ravel()
         out = np.asarray(f(nodes), dtype=float)
         if out.shape != nodes.shape:
@@ -130,73 +138,35 @@ def _lift(f: Callable) -> Callable:
 
 
 def _evaluate(
-    panels: list[tuple], funcs: list[Callable]
-) -> tuple[list[float], list[float]]:
-    """Kronrod values and error estimates of panels (row, segment, a, b,
-    depth), with one call per distinct integrand."""
-    a = np.array([p[2] for p in panels])
-    b = np.array([p[3] for p in panels])
+    gs: list[Callable], fid: np.ndarray, local: np.ndarray, rows, ks, a, b
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kronrod values, negated error estimates and whether each estimate is
+    above roundoff, of the panels [a, b] of initial segments ks of integrals
+    rows: one call per integrand gs[fid[k]] of the segments k, which numbers
+    them local[k]."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     xs = c[:, None] + h[:, None] * _NODES
-    rows = np.array([p[0] for p in panels])
-    gs = [funcs[p[1]] for p in panels]
-    if all(g is gs[0] for g in gs):
-        ys = gs[0](rows, xs)
+    if len(gs) == 1:
+        ys = gs[0](rows, local[ks], xs)
     else:
         ys = np.empty_like(xs)
-        for g in dict.fromkeys(gs):
-            sel = np.array([x is g for x in gs])
-            ys[sel] = g(rows[sel], xs[sel])
+        owner = fid[ks]
+        for j, g in enumerate(gs):
+            sel = owner == j
+            if sel.any():
+                ys[sel] = g(rows[sel], local[ks[sel]], xs[sel])
     ys = np.ascontiguousarray(ys, dtype=float)
     finite = np.isfinite(ys).all(axis=1)
     if not finite.all():
-        _, _, pa, pb, _ = panels[int(finite.argmin())]
+        bad = int(finite.argmin())
         raise ParameterError(
-            f"integrand returned a non-finite value on panel [{pa}, {pb}]"
+            f"integrand returned a non-finite value on panel [{a[bad]}, {b[bad]}]"
         )
     # vecdot sums each row as the 1-D dot product of a single panel does.
     k15 = h * np.vecdot(ys, _WK)
-    g7 = h * np.vecdot(ys, _WGAUSS)
-    return k15.tolist(), np.abs(k15 - g7).tolist()
-
-
-# A running sum s <- fl(s + x) errs by at most 2^-53 |fl(s + x)| per step;
-# the drift bound doubles that.  _SLACK absorbs the rounding of the cheap
-# termination test itself.
-_ULP = 2.0**-52
-_SLACK = 1.0 + 2.0**-40
-
-
-class _Row:
-    """Refinement state of one integral of a lockstep batch."""
-
-    __slots__ = ("heap", "evals", "val", "err", "dval", "derr")
-
-    def __init__(self) -> None:
-        # (-err, seq, a, b, depth, val, segment): the segment's index rather
-        # than its integrand keeps the tuple out of the garbage collector's
-        # traversals, which a 20000-panel heap makes costly.
-        self.heap: list[tuple] = []
-        self.evals = 0
-        # Running totals over the live panels; dval and derr sum the
-        # magnitudes of their partial results, so _ULP * dval bounds the
-        # drift of val from the exact sum (likewise for err).
-        self.val = self.err = self.dval = self.derr = 0.0
-
-    def unmet(self, cfg: QuadratureConfig) -> bool:
-        """True if even the drift-widened running totals miss the tolerance."""
-        val, err = abs(self.val), abs(self.err)
-        lo = err - _ULP * (self.derr + err)
-        hi = max(cfg.rel_tol * (val + _ULP * (self.dval + val)), cfg.abs_tol)
-        return lo > _SLACK * hi
-
-    def exact(self) -> tuple[float, float]:
-        """fsum totals of the live panels; resets the running totals."""
-        val = math.fsum([p[5] for p in self.heap])
-        err = math.fsum([-p[0] for p in self.heap])
-        self.val, self.err, self.dval, self.derr = val, err, abs(val), err
-        return val, err
+    err = np.abs(k15 - h * np.vecdot(ys, _WGAUSS))
+    return k15, -err, err > _ROUNDOFF * h * np.vecdot(np.abs(ys), _WK)
 
 
 def _integrate_segments(
@@ -206,108 +176,128 @@ def _integrate_segments(
 ) -> list[QuadratureResult]:
     """Adaptive refinement of n integrals over shared initial (g, a, b) segments.
 
-    ``g(rows, xs)`` evaluates at an (m, 15) array of nodes whose k-th row
-    belongs to integral ``rows[k]``.  Each integral queues its panels by error
-    estimate, largest first, and splits them at their midpoints until the
-    fsum of its estimates meets max(rel_tol*|value|, abs_tol).  The integrals
-    refine in lockstep: every step splits the worst panel of each integral
-    still open and evaluates all new panels together.  An open integral
-    raises QuadratureNonConvergence with its best estimate once its worst
-    panel is at depth _MAX_SUBDIVISIONS or the batch holds _MAX_PANELS.
+    ``g(rows, segs, xs)`` evaluates at an (m, 15) array of nodes whose k-th
+    row belongs to integral ``rows[k]`` and lies in initial segment
+    ``segs[k]``, numbered among the segments of g.  An integral is done once
+    the fsum of its panels' error estimates meets its tolerance
+    max(rel_tol*|value|, abs_tol).  Until then, each step ranks its panels by
+    estimate, largest first (ties in creation order), and bisects them from
+    the top until those it leaves hold at most half the tolerance, passing
+    over panels whose estimate is roundoff (_ROUNDOFF); the new panels of all
+    integrals are evaluated together.  So each integral refines as it would
+    alone.  An open integral raises QuadratureNonConvergence with its best
+    estimate once a panel due for bisection is at depth _MAX_SUBDIVISIONS,
+    once the call holds _MAX_PANELS panels per 15 integrals (one axial
+    panel's radial integrals), or once no panel is due but roundoff.
     """
-    for _, a, b in segments:
-        if not b > a:
+    for _, lo, hi in segments:
+        if not hi > lo:
             raise ParameterError("segment endpoints must be increasing")
-    state = [_Row() for _ in range(n)]
-    results: list[QuadratureResult] = [None] * n  # type: ignore[list-item]
     funcs = [g for g, _, _ in segments]
-    new = [
-        (i, k, float(a), float(b), 0)
-        for i in range(n)
-        for k, (_, a, b) in enumerate(segments)
-    ]
-    panels = 0
+    gs = list(dict.fromkeys(funcs))
+    fid = np.array([gs.index(g) for g in funcs])
+    local = np.array([funcs[:k].count(g) for k, g in enumerate(funcs)])
+    budget = _MAX_PANELS * -(-n // len(_NODES))
+    nseg = len(segments)
+    # Per integral, its live panels (-err, seq, a, b, depth, val, segment,
+    # above roundoff), seq numbering the call's panels in order of creation.
+    live: list[list[tuple]] = [[] for _ in range(n)]
+    evals = [15 * nseg] * n
+    results: list[QuadratureResult] = [None] * n  # type: ignore[list-item]
+    rows = np.repeat(np.arange(n), nseg)
+    ks = np.tile(np.arange(nseg), n)
+    a = np.tile([float(lo) for _, lo, _ in segments], n)
+    b = np.tile([float(hi) for _, _, hi in segments], n)
+    depth = np.zeros(rows.size, dtype=int)
+    made = held = 0
     active: Iterable[int] = range(n)
-    while new:
-        panels += len(new)
-        for (i, k, a, b, depth), val, err in zip(new, *_evaluate(new, funcs)):
-            row = state[i]
-            # row.evals orders a row's panels by creation, as a sequence number.
-            heapq.heappush(row.heap, (-err, row.evals, a, b, depth, val, k))
-            row.evals += 15
-            row.val += val
-            row.dval += abs(row.val)
-            row.err += err
-            row.derr += abs(row.err)
-        new, still = [], []
+    while True:
+        vals, errs, above = _evaluate(gs, fid, local, rows, ks, a, b)
+        cols = (errs, a, b, depth, vals, ks, above)
+        seqs = range(made, made + rows.size)
+        neg_err, a, b, depth, vals, ks, above = (x.tolist() for x in cols)
+        panels = zip(neg_err, seqs, a, b, depth, vals, ks, above)
+        for i, p in zip(rows.tolist(), panels):
+            live[i].append(p)
+        made += rows.size
+        held += rows.size
+        split, owners, still = [], [], []
         for i in active:
-            row = state[i]
-            if not row.unmet(cfg):
-                val, err = row.exact()
-                if err <= max(cfg.rel_tol * abs(val), cfg.abs_tol):
-                    results[i] = QuadratureResult(val, err, row.evals)
-                    continue
-            neg_err, _, a, b, depth, val, k = row.heap[0]
-            if depth >= _MAX_SUBDIVISIONS or panels >= _MAX_PANELS:
-                val, err = row.exact()
-                limit = "depth" if depth >= _MAX_SUBDIVISIONS else "panel"
+            row = live[i]
+            val = math.fsum(map(_VAL, row))
+            err = -math.fsum(map(_NEG_ERR, row))
+            tol = max(cfg.rel_tol * abs(val), cfg.abs_tol)
+            if err <= tol:
+                results[i] = QuadratureResult(val, err, evals[i])
+                continue
+            row.sort()
+            rest, half, due, kept = err, 0.5 * tol, [], []
+            for p in row:
+                if rest <= half:
+                    break
+                if p[7]:  # roundoff is not bisected away
+                    due.append(p)
+                    rest += p[0]
+                else:
+                    kept.append(p)
+            limit = (
+                "roundoff" if not due
+                else "depth" if max(map(_DEPTH, due)) >= _MAX_SUBDIVISIONS
+                else "panel" if held >= budget
+                else None
+            )
+            if limit:
                 raise QuadratureNonConvergence(
                     f"tolerance not met: error estimate {err:.3e} with "
-                    f"{len(row.heap)} panels at the call's {limit} limit",
-                    best=QuadratureResult(val, err, row.evals),
+                    f"{len(row)} panels at the call's {limit} limit",
+                    best=QuadratureResult(val, err, evals[i]),
                 )
-            heapq.heappop(row.heap)
-            panels -= 1
-            row.val -= val
-            row.dval += abs(row.val)
-            row.err += neg_err
-            row.derr += abs(row.err)
-            mid = 0.5 * (a + b)
-            new.append((i, k, a, mid, depth + 1))
-            new.append((i, k, mid, b, depth + 1))
+            row[: len(due) + len(kept)] = kept
+            split += due
+            owners += [i] * len(due)
+            held -= len(due)
+            evals[i] += 30 * len(due)
             still.append(i)
+        if not split:
+            return results
         active = still
-    return results
-
-
-def _tail(g: Callable, sign: float, length: float = math.inf) -> Callable:
-    """g over the offsets sign * (0, length) as an integrand on t in (0, 1):
-    the offset is sign * h t/q, q = 1 - (1 - h/length) t, h = min(1, length),
-    with Jacobian h/q^2, of which g(rows, offset, q) applies 1/q^2.  An
-    infinite length gives r = t/(1-t); a finite one ends at exactly the
-    length, however far, and one shorter than 1 maps linearly."""
-    h = min(1.0, length)
-    kappa = 1.0 - h / length
-
-    def gt(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        q = 1.0 - kappa * ts
-        return h * g(rows, sign * (h * ts / q), q)
-
-    return gt
-
-
-def _over_q2(g: Callable) -> Callable:
-    """g(rows, x) as a _tail integrand, times the Jacobian."""
-    return lambda rows, v, q: g(rows, v) / (q * q)
+        _, _, a, b, depth, _, ks, _ = map(np.array, zip(*split))
+        mid = 0.5 * (a + b)
+        a = np.column_stack((a, mid)).ravel()
+        b = np.column_stack((mid, b)).ravel()
+        depth, ks, rows = (np.repeat(x, 2) for x in (depth + 1, ks, owners))
 
 
 def _tail_segments(
-    g: Callable,
-    sign: float,
-    knots: Iterable[float] | None,
-    length: float = math.inf,
+    g: Callable, tails: Iterable[tuple[float, float, float, Iterable[float] | None]]
 ) -> list[tuple[Callable, float, float]]:
-    """Initial segments of _tail(g, sign, length), split at t = 1/2 and at
-    the image of every knot in (0, length)."""
-    h = min(1.0, length)
-    kappa = 1.0 - h / length
-    breaks = {0.0, 0.5, 1.0}
-    for r in map(float, knots or ()):
-        if 0.0 < r < length:
-            breaks.add(r / (h + kappa * r))
-    breaks = sorted(breaks)
-    gt = _tail(g, sign, length)
-    return [(gt, a, b) for a, b in zip(breaks[:-1], breaks[1:])]
+    """Initial segments of tails (c, sign, length, knots), one integrand
+    for all: a tail's offsets sign * (0, length) from c map to t in (0, 1)
+    as sign * h t/q, q = 1 - (1 - h/length) t, h = min(1, length), with
+    Jacobian h/q^2, of which g(rows, c, offset, q) applies 1/q^2 (c has one
+    column, offset and q one per node).  An infinite length gives
+    r = t/(1-t); a finite one ends at exactly the length, however far, and
+    one shorter than 1 maps linearly.  A tail with knots None is a single
+    segment; otherwise it splits at t = 1/2 and at the image of every knot
+    in (0, length)."""
+    cells = []
+    for c, sign, length, knots in tails:
+        h = min(1.0, length)
+        kappa = 1.0 - h / length
+        breaks = {0.0, 1.0} if knots is None else {0.0, 0.5, 1.0}
+        for r in map(float, knots or ()):
+            if 0.0 < r < length:
+                breaks.add(r / (h + kappa * r))
+        breaks = sorted(breaks)
+        cells += [(c, sign, h, kappa, a, b) for a, b in zip(breaks[:-1], breaks[1:])]
+    cs, signs, hs, kappas = (np.array(x)[:, None] for x in list(zip(*cells))[:4])
+
+    def gt(rows: np.ndarray, segs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        q = 1.0 - kappas[segs] * ts
+        h = hs[segs]
+        return h * g(rows, cs[segs], signs[segs] * (h * ts / q), q)
+
+    return [(gt, a, b) for *_, a, b in cells]
 
 
 def integrate_half_line(
@@ -322,10 +312,13 @@ def integrate_half_line(
     any other shape raises ParameterError.  ``knots`` lists characteristic
     radii at which initial panels are split; pass the turnover scales of a
     multi-scale integrand to keep refinement shallow.  Raises
-    QuadratureNonConvergence (carrying the best estimate) once the worst
-    panel is at depth _MAX_SUBDIVISIONS or _MAX_PANELS are held, unconverged.
+    QuadratureNonConvergence (carrying the best estimate) once a panel due
+    for bisection is at depth _MAX_SUBDIVISIONS, _MAX_PANELS are held or only
+    roundoff is left to bisect, unconverged.
     """
-    segments = _tail_segments(_over_q2(_lift(f)), 1.0, knots)
+    g = _lift(f)
+    tail = [(0.0, 1.0, math.inf, knots or ())]
+    segments = _tail_segments(lambda rows, c, r, q: g(r) / (q * q), tail)
     return _integrate_segments(segments, cfg)[0]
 
 
@@ -346,11 +339,13 @@ def integrate_real_line(
     if not ks or not all(math.isfinite(k) for k in ks):
         raise ParameterError("integrate_real_line requires finite, nonempty knots")
     g = _lift(f)
-    segments = [(g, a, b) for a, b in zip(ks[:-1], ks[1:])]
-    lo, hi = ks[0], ks[-1]
-    left = _tail(_over_q2(lambda rows, v: g(rows, lo + v)), -1.0)
-    right = _tail(_over_q2(lambda rows, v: g(rows, hi + v)), 1.0)
-    segments += [(left, 0.0, 1.0), (right, 0.0, 1.0)]
+
+    def inside(rows: np.ndarray, segs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        return g(xs)
+
+    segments = [(inside, a, b) for a, b in zip(ks[:-1], ks[1:])]
+    tails = [(ks[0], -1.0, math.inf, None), (ks[-1], 1.0, math.inf, None)]
+    segments += _tail_segments(lambda rows, c, v, q: g(c + v) / (q * q), tails)
     return _integrate_segments(segments, cfg)[0]
 
 
@@ -363,18 +358,17 @@ _KNOT_RATIO = 64.0
 _KNOT_MAX = 2.0**40
 
 
-def _cell_segments(
-    profile: Callable, centers: list[float], widths: list[float]
-) -> list[tuple[Callable, float, float]]:
-    """Initial segments of the axis cut midway between consecutive distinct
-    centers, each half-cell a _tail of profile(c) from its own center c.
+def _cells(centers: list[float], widths: list[float]) -> list[tuple]:
+    """The axis cut midway between consecutive distinct centers, as tails
+    (c, sign, length, knots) of _tail_segments from each half-cell's own
+    center c.
 
     A feature at x of width w shows from c at the offset max(|x - c|, w); a
     half-cell breaks there, and a geometric ladder keeps its breaks within
     _KNOT_RATIO up to its end (a tail's: its last break)."""
     cs = sorted(set(centers))
     mids = [0.5 * a + 0.5 * b for a, b in zip(cs[:-1], cs[1:])]
-    segments = []
+    cells = []
     for c, lo, hi in zip(cs, [-math.inf] + mids, mids + [math.inf]):
         shows = {max(abs(x - c), w) for x, w in zip(centers, widths)}
         for sign, length in ((-1.0, c - lo), (1.0, hi - c)):
@@ -388,8 +382,8 @@ def _cell_segments(
             for a, b in zip(knots, knots[1:]):
                 n = math.ceil((math.log(b) - math.log(a)) / math.log(_KNOT_RATIO))
                 ladder += [a ** (1 - k / n) * b ** (k / n) for k in range(1, n)]
-            segments += _tail_segments(profile(c), sign, ladder, length)
-    return segments
+            cells.append((c, sign, length, ladder))
+    return cells
 
 
 def integrate_axisymmetric(
@@ -410,11 +404,12 @@ def integrate_axisymmetric(
     nonempty) and each half-cell runs from its own center c, so f receives c
     and the offset s apart and can form the distance to a feature there
     exactly.  ``widths`` (one per center, > 0; 1 each by default) place the
-    initial breaks (see _cell_segments) and split each radial integral at a
-    quarter, one and four widths.  f must broadcast over offsets of shape
-    (m, 1) and radii of shape (m, 15) to shape (m, 15).  The radial integrals at the 15 nodes
-    of an axial panel refine as one lockstep batch, at 10x tighter tolerance,
-    with the axial Jacobian inside so the inner abs_tol is on the outer scale.
+    initial breaks (see _cells) and split each radial integral at a quarter,
+    one and four widths.  f must broadcast over centers and offsets of shape
+    (m, 1) and radii of shape (m, 15) to shape (m, 15).  The radial integrals
+    at the nodes of all the axial panels one outer step evaluates refine as
+    one lockstep batch, at 10x tighter tolerance, with the axial Jacobian
+    inside so the inner abs_tol is on the outer scale.
     """
     xs = [float(x) for x in centers]
     ws = [1.0] * len(xs) if widths is None else [float(r) for r in widths]
@@ -427,34 +422,28 @@ def integrate_axisymmetric(
         )
     inner_cfg = QuadratureConfig(rel_tol=cfg.rel_tol * 0.1, abs_tol=cfg.abs_tol * 0.1)
     w = amb.d - 2
-    radial_knots = [k * r for r in ws for k in (0.25, 1.0, 4.0)]
+    radial_tail = [(0.0, 1.0, math.inf, [k * r for r in ws for k in (0.25, 1.0, 4.0)])]
     inner_evals = 0
 
-    def profile(c: float) -> Callable:
+    def profile(rows: np.ndarray, c: np.ndarray, ss: np.ndarray, q: np.ndarray):
+        nonlocal inner_evals
         if w < 0:
-            return lambda rows, ss, q: f(c, ss, np.zeros_like(ss)) / (q * q)
+            return f(c, ss, np.zeros_like(ss)) / (q * q)
+        # One radial integral per node, all refined as one batch.
+        c_col = np.broadcast_to(c, ss.shape).reshape(-1, 1)
+        s_col = ss.reshape(-1, 1)
+        q2 = (q * q).reshape(-1, 1)
 
-        def g(rows: np.ndarray, ss: np.ndarray, q: np.ndarray) -> np.ndarray:
-            nonlocal inner_evals
-            out = np.empty_like(ss)
-            # One batch per axial panel, so that when a radial integral cannot
-            # converge, at most 14 others have refined alongside it.
-            cols = zip(ss[:, :, None], (q * q)[:, :, None])
-            for k, (s_col, q2) in enumerate(cols):
+        def radial(rows: np.ndarray, _, rhos: np.ndarray, qr: np.ndarray):
+            vals = np.asarray(f(c_col[rows], s_col[rows], rhos), dtype=float)
+            return (vals * rhos**w if w else vals) / q2[rows] / (qr * qr)
 
-                def radial(rows: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-                    vals = np.asarray(f(c, s_col[rows], rhos), dtype=float)
-                    return (vals * rhos**w if w else vals) / q2[rows]
+        segments = _tail_segments(radial, radial_tail)
+        inner = _integrate_segments(segments, inner_cfg, len(s_col))
+        inner_evals += sum(r.evaluations for r in inner)
+        return np.array([r.value for r in inner]).reshape(ss.shape)
 
-                segments = _tail_segments(_over_q2(radial), 1.0, radial_knots)
-                inner = _integrate_segments(segments, inner_cfg, len(s_col))
-                inner_evals += sum(r.evaluations for r in inner)
-                out[k] = [r.value for r in inner]
-            return out
-
-        return g
-
-    outer = _integrate_segments(_cell_segments(profile, xs, ws), cfg)[0]
+    outer = _integrate_segments(_tail_segments(profile, _cells(xs, ws)), cfg)[0]
     area = 1.0 if w < 0 else sphere_area(amb.d - 1)
     return QuadratureResult(
         area * outer.value,

@@ -1,7 +1,6 @@
 """Adaptive quadrature engine: exactness, error-estimate honesty, scale
 robustness, and the axisymmetric reduction."""
 
-import heapq
 import math
 
 import numpy as np
@@ -112,11 +111,45 @@ class TestHalfLine:
 
     def test_depth_limit_stops_the_call(self):
         """(1 + r)^-1.5 is (1 - t)^-1/2 at t = 1, which no panel of depth
-        30 resolves to 1e-10: the call raises as soon as its worst panel
-        sits at the limit, not after filling the panel budget."""
+        30 resolves to 1e-10: the call raises as soon as a panel due for
+        bisection sits at the limit, not after filling the panel budget."""
         with pytest.raises(QuadratureNonConvergence, match="depth limit") as exc:
             integrate_half_line(lambda r: (1.0 + r) ** -1.5)
         assert exc.value.best.evaluations < 1500
+
+    def test_unreachable_tolerance_fails_fast(self):
+        """rel_tol 1e-16 is below the roundoff of the sum: the call gives up,
+        with a best estimate as good as the arithmetic allows, after a few
+        bulk steps (one integrand call each) instead of filling its budget."""
+        calls = 0
+
+        def f(r):
+            nonlocal calls
+            calls += 1
+            return (1.0 + r * r) ** -1.2345
+
+        cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300)
+        with pytest.raises(QuadratureNonConvergence) as exc:
+            integrate_half_line(f, cfg)
+        assert calls <= 40
+        exact = beta_half_line(0.0, 1.2345)
+        assert exc.value.best.value == pytest.approx(exact, rel=1e-14)
+
+    def test_unreachable_tolerance_fails_fast_in_a_batch(self):
+        """The same for 15 integrals refined in lockstep, as the radial
+        integrals at the nodes of an axial panel are: Lorentzian peaks of
+        widths 0.01 to 0.04, which take a few steps to resolve."""
+        calls = 0
+
+        def g(rows, segs, xs):
+            nonlocal calls
+            calls += 1
+            return 1.0 / (1e-4 * (rows[:, None] + 1.0) + (xs - 0.3) ** 2)
+
+        cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300)
+        with pytest.raises(QuadratureNonConvergence):
+            quadrature._integrate_segments([(g, 0.0, 0.5), (g, 0.5, 1.0)], cfg, 15)
+        assert calls <= 40
 
     def test_divergent_integrand_fails_honestly(self, monkeypatch):
         """1/r is finite at every interior node; the divergence must surface
@@ -287,10 +320,10 @@ class TestAxisymmetric:
 
 def _nested_reference(f, amb, cfg, centers=(0.0,), widths=None):
     """The axisymmetric integral with one integrate_half_line per axial node:
-    the same half-cells as integrate_axisymmetric (quadrature._cell_segments),
-    whose integrand runs, at each node, one integrate_half_line of f times
-    the node's Jacobian at 10x tighter tolerance, split at a quarter, one and
-    four widths.  Returns the value and the total number of integrand
+    the same half-cells as integrate_axisymmetric (quadrature._cells), whose
+    integrand runs, at each node, one integrate_half_line of f times the
+    node's Jacobian at 10x tighter tolerance, split at a quarter, one and four
+    widths.  Returns the value and the total number of integrand
     evaluations."""
     inner_cfg = QuadratureConfig(rel_tol=cfg.rel_tol * 0.1, abs_tol=cfg.abs_tol * 0.1)
     w = amb.d - 2
@@ -298,22 +331,21 @@ def _nested_reference(f, amb, cfg, centers=(0.0,), widths=None):
     knots = [k * r for r in ws for k in (0.25, 1.0, 4.0)]
     inner_evals = []
 
-    def profile(c):
-        def g(rows, ss, q):
-            out = np.empty_like(ss)
-            for idx in np.ndindex(ss.shape):
-                s, q2 = ss[idx], q[idx] * q[idx]
-                res = integrate_half_line(
-                    lambda rhos: f(c, s, rhos) * rhos**w / q2, inner_cfg, knots=knots
-                )
-                inner_evals.append(res.evaluations)
-                out[idx] = res.value
-            return out
+    def profile(rows, cs, ss, q):
+        out = np.empty_like(ss)
+        for idx in np.ndindex(ss.shape):
+            c, s, q2 = cs[idx[0], 0], ss[idx], q[idx] * q[idx]
+            res = integrate_half_line(
+                lambda rhos: f(c, s, rhos) * rhos**w / q2, inner_cfg, knots=knots
+            )
+            inner_evals.append(res.evaluations)
+            out[idx] = res.value
+        return out
 
-        return g
-
-    segments = quadrature._cell_segments(profile, list(centers), ws)
-    outer = quadrature._integrate_segments(segments, cfg)[0]
+    cells = quadrature._cells([float(x) for x in centers], ws)
+    outer = quadrature._integrate_segments(
+        quadrature._tail_segments(profile, cells), cfg
+    )[0]
     value = sphere_area(amb.d - 1) * outer.value
     return value, outer.evaluations + sum(inner_evals)
 
@@ -336,8 +368,9 @@ def _signed_bubbles(c, s, rhos):
 
 
 class TestLockstepBatch:
-    """integrate_axisymmetric refines the radial integrals of an axial panel
-    together; each must match the same integral refined alone."""
+    """integrate_axisymmetric refines the radial integrals of all the axial
+    panels of an outer step together; each must match the same integral
+    refined alone."""
 
     @pytest.mark.parametrize(
         "f, amb, kwargs",
@@ -362,12 +395,16 @@ class TestLockstepBatch:
         assert res.value == pytest.approx(value, rel=1e-14)
 
     def test_panel_budget_is_shared_by_the_batch(self, monkeypatch):
-        """At an unreachable tolerance a batch of 15 integrals stops once it
-        holds _MAX_PANELS panels in all, not _MAX_PANELS each."""
+        """At an unreachable tolerance a batch of 30 integrals (two axial
+        panels' radial integrals) stops once it holds _MAX_PANELS panels per
+        15 of them, in all: not _MAX_PANELS per call, nor per integral.  The
+        batch doubles its panels each step, so by then it has evaluated at
+        least its budget and less than four times it."""
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 100)
+        n, budget = 30, 200
         nodes = 0
 
-        def g(rows, xs):
+        def g(rows, segs, xs):
             nonlocal nodes
             nodes += xs.size
             return np.exp(-(rows[:, None] + 1.0) * xs) * np.cos(30.0 * xs)
@@ -375,9 +412,9 @@ class TestLockstepBatch:
         cfg = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300)
         segments = [(g, 0.0, 0.5), (g, 0.5, 1.0)]
         with pytest.raises(QuadratureNonConvergence, match="panel limit") as exc:
-            quadrature._integrate_segments(segments, cfg, 15)
+            quadrature._integrate_segments(segments, cfg, n)
         assert isinstance(exc.value.best, QuadratureResult)
-        assert nodes <= 2 * 15 * 100
+        assert 15 * budget <= nodes < 4 * 15 * budget
 
 
 class TestDeterminism:
@@ -393,49 +430,60 @@ class TestDeterminism:
 
 
 def _exact_rule_reference(f, cfg, knots=()):
-    """integrate_half_line restated as the plain adaptive loop: the fsum of
-    every live panel is taken before each split, and the worst panel is
-    bisected unless it already sits at the subdivision limit or the panel
-    budget is full, which ends the loop.  Returns its QuadratureResult, or
-    the best estimate it raised QuadratureNonConvergence with."""
+    """integrate_half_line restated as the plain bulk rule: each step takes
+    the fsum of every live panel and, unless it meets the tolerance, ranks
+    the panels by estimate, largest first (ties in creation order), and
+    bisects them from the top until those left hold at most half the
+    tolerance.  A step ends the loop instead if a panel due for bisection is
+    at the subdivision limit, the panel budget is full, or every panel due is
+    within 50 ulp of its own value (roundoff).  Returns its QuadratureResult,
+    or the best estimate it raised QuadratureNonConvergence with."""
 
     def g(ts):
         return f(ts / (1.0 - ts)) / (1.0 - ts) ** 2
 
-    heap, live, evals = [], {}, 0
+    live, evals = [], 0  # (err, seq, a, b, depth, value)
 
-    def push(a, b, depth):
+    def evaluate(a, b, depth):
         nonlocal evals
         c, h = 0.5 * (a + b), 0.5 * (b - a)
         ys = g(c + h * _NODES)
         k15, g7 = h * float(_WK @ ys), h * float(_WGAUSS @ ys)
-        live[evals] = (k15, abs(k15 - g7))
-        heapq.heappush(heap, (-abs(k15 - g7), evals, a, b, depth))
+        live.append((abs(k15 - g7), evals, a, b, depth, k15))
         evals += 15
 
     breaks = sorted({0.0, 0.5, 1.0} | {r / (1.0 + r) for r in knots})
     for a, b in zip(breaks[:-1], breaks[1:]):
-        push(a, b, 0)
+        evaluate(a, b, 0)
     while True:
-        val = math.fsum(v for v, _ in live.values())
-        err = math.fsum(e for _, e in live.values())
+        val = math.fsum(p[5] for p in live)
+        err = math.fsum(p[0] for p in live)
         result = QuadratureResult(val, err, evals)
-        if err <= max(cfg.rel_tol * abs(val), cfg.abs_tol):
+        tol = max(cfg.rel_tol * abs(val), cfg.abs_tol)
+        if err <= tol:
             return result
-        if heap[0][4] >= quadrature._MAX_SUBDIVISIONS:
+        live.sort(key=lambda p: (-p[0], p[1]))
+        cut, rest = 0, err
+        while rest > 0.5 * tol and cut < len(live):
+            rest -= live[cut][0]
+            cut += 1
+        due = live[:cut]
+        if (
+            any(p[4] >= quadrature._MAX_SUBDIVISIONS for p in due)
+            or len(live) >= quadrature._MAX_PANELS
+            or all(p[0] <= 50 * 2.0**-52 * abs(p[5]) for p in due)
+        ):
             return result
-        if len(live) >= quadrature._MAX_PANELS:
-            return result
-        _, seq, a, b, depth = heapq.heappop(heap)
-        del live[seq]
-        mid = 0.5 * (a + b)
-        push(a, mid, depth + 1)
-        push(mid, b, depth + 1)
+        del live[:cut]
+        for _, _, a, b, depth, _ in due:
+            mid = 0.5 * (a + b)
+            evaluate(a, mid, depth + 1)
+            evaluate(mid, b, depth + 1)
 
 
 class TestExactRule:
-    """The running totals only decide when to take the exact fsum: the
-    panels refined and the bits returned are those of the exact rule."""
+    """integrate_half_line refines by the bulk rule: the panels it refines
+    and the bits it returns are those of the plain loop above."""
 
     @pytest.mark.parametrize(
         "f, cfg, knots, depth",
