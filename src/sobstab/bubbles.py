@@ -67,7 +67,7 @@ class Geometry(Enum):
     GENERAL = "GENERAL"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BubbleParam:
     """One weighted, translated, scaled bubble: coeff * B_{center, scale}."""
 
@@ -474,6 +474,15 @@ def _radial_norm(amb: Ambient, cfg: QuadratureConfig, log_lams: list) -> float:
         return np.abs(c_d * acc) ** two_star * np.exp(two_star * top + d * vs)
 
     knots = [-ll for _, ll in log_lams]
+    if len(log_lams) == 2 and log_lams[0][0] * log_lams[1][0] < 0.0:
+        # The kink of |u|^(2*) where a signed pair changes sign is a knot: with
+        # a = log|c2/c1|/beta, b = l1 - l2 <= 0, if |a| < -b, at
+        # e^(2v) = e^(-l1-l2) (e^a - e^b)/(1 - e^(a+b)).
+        (c1, l1), (c2, l2) = sorted(log_lams, key=lambda cl: cl[1])
+        a, b = (math.log(abs(c2)) - math.log(abs(c1))) / bexp, l1 - l2
+        if abs(a) < -b:
+            gap = math.log(-math.expm1(b - a)) - math.log(-math.expm1(a + b))
+            knots.append(0.5 * (a + gap - l1 - l2))
     res = integrate_real_line(f, cfg, knots=knots)
     total = sphere_area(d) * res.value
     return total ** (1.0 / two_star)
@@ -507,7 +516,13 @@ def lp_norm(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     two_star = amb.two_star
     bexp = amb.beta_exp
     cst = sharp_constants(amb)
-    axial = [(t.coeff, ti, t.scale) for t, ti in zip(u.terms, pos)]
+    # ||.||_{2*} is dilation-invariant, and a dilation by a power of two is
+    # exact: the frame dilated by 2^-k centers the log2 scales on 0.
+    k = round(sum(math.log2(t.scale) for t in u.terms) / len(u.terms))
+    axial = [
+        (t.coeff, math.ldexp(x, k), math.ldexp(t.scale, -k))
+        for t, x in zip(u.terms, pos)
+    ]
 
     def f(c: float, s: np.ndarray, rhos: np.ndarray) -> np.ndarray:
         """|u|^(2*) at axial position c + s and distance rho from the axis."""
@@ -519,9 +534,8 @@ def lp_norm(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
                 acc += coeff * lam**bexp * (1.0 + z2) ** (-bexp)
         return np.abs(cst.c_d * acc) ** two_star
 
-    res = integrate_axisymmetric(
-        f, amb, cfg, centers=pos, widths=[1.0 / t.scale for t in u.terms]
-    )
+    centers, widths = zip(*[(x, 1.0 / lam) for _, x, lam in axial])
+    res = integrate_axisymmetric(f, amb, cfg, centers=centers, widths=widths)
     return res.value ** (1.0 / two_star)
 
 

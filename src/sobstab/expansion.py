@@ -179,7 +179,7 @@ def two_bubble(lam: float, amb: Ambient) -> Superposition:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpansionPoint:
     lam: float
     hs_norm_sq: float

@@ -69,7 +69,7 @@ _POLISH_ITERS = 60
 _DB, _DZ = np.array([(i, j) for i in (0, -1, 1) for j in (0, -1, 1)], float).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MOptimum:
     """Result of the m(f) maximizer search.
 
@@ -85,7 +85,7 @@ class MOptimum:
     all_local_maxima: tuple[tuple[BubbleParam, float], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionalReport:
     hs_norm_sq: float
     lp_norm: float

@@ -12,13 +12,13 @@ endpoint behavior -- no cutoff parameter.  The axisymmetric integrator cuts
 the axis midway between its centers and compactifies each half-cell the same
 way from its own center, so each bubble is resolved however far the others.
 
-The engine refines a batch of integrals over the same initial segments in
-lockstep: each step refines every integral not yet converged and evaluates
-all the new panels with one vectorized call per integrand.  Each integral
-keeps the panel order and termination rule it would have alone, so its
-result does not depend on the batch; only the panel budget is shared.  The
-radial integrals at the nodes of all the axial panels that one outer step
-evaluates are one such batch.
+The engine refines a batch of integrals of one integrand over the same
+initial segments in lockstep, evaluating all the new panels of a step in one
+vectorized call.  Each integral keeps the panel order and termination rule
+it would have alone; only the panel budget is shared.  The radial integrals
+at the nodes of all the axial panels of one outer step are one such batch.
+Each segment is a cell of one map (_mapped): a compactified tail or, between
+the real line's knots, the identity.
 
 Half-line and real-line integrands are numpy-vectorized: each call receives
 a 1-D ndarray of nodes and must return an array of the same shape.
@@ -138,25 +138,15 @@ def _lift(f: Callable) -> Callable:
 
 
 def _evaluate(
-    gs: list[Callable], fid: np.ndarray, local: np.ndarray, rows, ks, a, b
+    g: Callable, rows: np.ndarray, ks: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kronrod values, negated error estimates and whether each estimate is
     above roundoff, of the panels [a, b] of initial segments ks of integrals
-    rows: one call per integrand gs[fid[k]] of the segments k, which numbers
-    them local[k]."""
+    rows, all from one call of g."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     xs = c[:, None] + h[:, None] * _NODES
-    if len(gs) == 1:
-        ys = gs[0](rows, local[ks], xs)
-    else:
-        ys = np.empty_like(xs)
-        owner = fid[ks]
-        for j, g in enumerate(gs):
-            sel = owner == j
-            if sel.any():
-                ys[sel] = g(rows[sel], local[ks[sel]], xs[sel])
-    ys = np.ascontiguousarray(ys, dtype=float)
+    ys = np.ascontiguousarray(g(rows, ks, xs), dtype=float)
     finite = np.isfinite(ys).all(axis=1)
     if not finite.all():
         bad = int(finite.argmin())
@@ -170,15 +160,13 @@ def _evaluate(
 
 
 def _integrate_segments(
-    segments: Sequence[tuple[Callable, float, float]],
-    cfg: QuadratureConfig,
-    n: int = 1,
+    g: Callable, segments: Sequence[tuple], cfg: QuadratureConfig, n: int = 1
 ) -> list[QuadratureResult]:
-    """Adaptive refinement of n integrals over shared initial (g, a, b) segments.
+    """Adaptive refinement of n integrals of g over initial (a, b) segments.
 
     ``g(rows, segs, xs)`` evaluates at an (m, 15) array of nodes whose k-th
     row belongs to integral ``rows[k]`` and lies in initial segment
-    ``segs[k]``, numbered among the segments of g.  An integral is done once
+    ``segs[k]``; each step makes one call.  An integral is done once
     the fsum of its panels' error estimates meets its tolerance
     max(rel_tol*|value|, abs_tol).  Until then, each step ranks its panels by
     estimate, largest first (ties in creation order), and bisects them from
@@ -190,13 +178,6 @@ def _integrate_segments(
     once the call holds _MAX_PANELS panels per 15 integrals (one axial
     panel's radial integrals), or once no panel is due but roundoff.
     """
-    for _, lo, hi in segments:
-        if not hi > lo:
-            raise ParameterError("segment endpoints must be increasing")
-    funcs = [g for g, _, _ in segments]
-    gs = list(dict.fromkeys(funcs))
-    fid = np.array([gs.index(g) for g in funcs])
-    local = np.array([funcs[:k].count(g) for k, g in enumerate(funcs)])
     budget = _MAX_PANELS * -(-n // len(_NODES))
     nseg = len(segments)
     # Per integral, its live panels (-err, seq, a, b, depth, val, segment,
@@ -206,13 +187,13 @@ def _integrate_segments(
     results: list[QuadratureResult] = [None] * n  # type: ignore[list-item]
     rows = np.repeat(np.arange(n), nseg)
     ks = np.tile(np.arange(nseg), n)
-    a = np.tile([float(lo) for _, lo, _ in segments], n)
-    b = np.tile([float(hi) for _, _, hi in segments], n)
+    a = np.tile([float(lo) for lo, _ in segments], n)
+    b = np.tile([float(hi) for _, hi in segments], n)
     depth = np.zeros(rows.size, dtype=int)
     made = held = 0
     active: Iterable[int] = range(n)
     while True:
-        vals, errs, above = _evaluate(gs, fid, local, rows, ks, a, b)
+        vals, errs, above = _evaluate(g, rows, ks, a, b)
         cols = (errs, a, b, depth, vals, ks, above)
         seqs = range(made, made + rows.size)
         neg_err, a, b, depth, vals, ks, above = (x.tolist() for x in cols)
@@ -268,28 +249,27 @@ def _integrate_segments(
         depth, ks, rows = (np.repeat(x, 2) for x in (depth + 1, ks, owners))
 
 
-def _tail_segments(
-    g: Callable, tails: Iterable[tuple[float, float, float, Iterable[float] | None]]
-) -> list[tuple[Callable, float, float]]:
-    """Initial segments of tails (c, sign, length, knots), one integrand
-    for all: a tail's offsets sign * (0, length) from c map to t in (0, 1)
-    as sign * h t/q, q = 1 - (1 - h/length) t, h = min(1, length), with
-    Jacobian h/q^2, of which g(rows, c, offset, q) applies 1/q^2 (c has one
-    column, offset and q one per node).  An infinite length gives
-    r = t/(1-t); a finite one ends at exactly the length, however far, and
-    one shorter than 1 maps linearly.  A tail with knots None is a single
-    segment; otherwise it splits at t = 1/2 and at the image of every knot
-    in (0, length)."""
+def _tail_cells(tails: Iterable[tuple]) -> list[tuple]:
+    """Cells (c, sign, h, kappa, a, b) of _mapped for tails (c, sign,
+    length, knots), h = min(1, length), kappa = 1 - h/length: an infinite
+    length gives r = t/(1-t), a finite one ends at exactly the length, and
+    one shorter than 1 maps linearly.  Each tail splits at t = 1/2 and at
+    the image of every knot in (0, length)."""
     cells = []
     for c, sign, length, knots in tails:
         h = min(1.0, length)
         kappa = 1.0 - h / length
-        breaks = {0.0, 1.0} if knots is None else {0.0, 0.5, 1.0}
-        for r in map(float, knots or ()):
-            if 0.0 < r < length:
-                breaks.add(r / (h + kappa * r))
-        breaks = sorted(breaks)
+        images = {r / (h + kappa * r) for r in map(float, knots) if 0.0 < r < length}
+        breaks = sorted({0.0, 0.5, 1.0} | images)
         cells += [(c, sign, h, kappa, a, b) for a, b in zip(breaks[:-1], breaks[1:])]
+    return cells
+
+
+def _mapped(g: Callable, cells: Sequence[tuple]) -> tuple[Callable, list[tuple]]:
+    """One integrand for cells (c, sign, h, kappa, a, b), and their segments
+    [a, b]: t maps to the offset sign * h t/q from c, q = 1 - kappa t, with
+    Jacobian h/q^2, of which g(rows, c, offset, q) applies 1/q^2 (c has one
+    column, offset and q one per node); (0, 1, 1, 0, a, b) is the identity."""
     cs, signs, hs, kappas = (np.array(x)[:, None] for x in list(zip(*cells))[:4])
 
     def gt(rows: np.ndarray, segs: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -297,7 +277,7 @@ def _tail_segments(
         h = hs[segs]
         return h * g(rows, cs[segs], signs[segs] * (h * ts / q), q)
 
-    return [(gt, a, b) for *_, a, b in cells]
+    return gt, [(a, b) for *_, a, b in cells]
 
 
 def integrate_half_line(
@@ -317,9 +297,15 @@ def integrate_half_line(
     roundoff is left to bisect, unconverged.
     """
     g = _lift(f)
-    tail = [(0.0, 1.0, math.inf, knots or ())]
-    segments = _tail_segments(lambda rows, c, r, q: g(r) / (q * q), tail)
-    return _integrate_segments(segments, cfg)[0]
+    cells = _tail_cells([(0.0, 1.0, math.inf, knots or ())])
+    gt, segments = _mapped(lambda rows, c, r, q: g(r) / (q * q), cells)
+    return _integrate_segments(gt, segments, cfg)[0]
+
+
+# integrate_real_line's first partition resolves a bubble, an O(1)-wide bump
+# in log-radius, in one pass (16 panels between knots need two at d = 7).
+_LINE_PANELS = 20
+_TAIL_KNOTS = [k / (8 - k) for k in range(1, 8)]
 
 
 def integrate_real_line(
@@ -333,20 +319,22 @@ def integrate_real_line(
     f takes a 1-D ndarray of points and returns an array of the same shape;
     any other shape raises ParameterError.  ``knots`` (required, nonempty)
     are finite breakpoints -- typically the centers of the bubbles involved;
-    the two tails beyond the extreme knots are compactified algebraically.
+    the two tails beyond the extreme knots are compactified algebraically,
+    x = knot -+ t/(1-t).  The first pass evaluates 20 equal panels between
+    each two consecutive knots and 8 equal panels in t on each tail (through
+    the knots r = k/(8 - k)), all through one integrand.
     """
     ks = sorted({float(k) for k in knots})
     if not ks or not all(math.isfinite(k) for k in ks):
         raise ParameterError("integrate_real_line requires finite, nonempty knots")
     g = _lift(f)
-
-    def inside(rows: np.ndarray, segs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        return g(xs)
-
-    segments = [(inside, a, b) for a, b in zip(ks[:-1], ks[1:])]
-    tails = [(ks[0], -1.0, math.inf, None), (ks[-1], 1.0, math.inf, None)]
-    segments += _tail_segments(lambda rows, c, v, q: g(c + v) / (q * q), tails)
-    return _integrate_segments(segments, cfg)[0]
+    inner = np.linspace(ks[:-1], ks[1:], _LINE_PANELS, endpoint=False, axis=1)
+    breaks = sorted(set(inner.ravel().tolist() + ks[-1:]))  # knots 1 ulp apart
+    cells = [(0.0, 1.0, 1.0, 0.0, a, b) for a, b in zip(breaks[:-1], breaks[1:])]
+    tails = [(ks[0], -1.0, math.inf, _TAIL_KNOTS), (ks[-1], 1.0, math.inf, _TAIL_KNOTS)]
+    cells += _tail_cells(tails)
+    gt, segments = _mapped(lambda rows, c, v, q: g(c + v) / (q * q), cells)
+    return _integrate_segments(gt, segments, cfg)[0]
 
 
 # A half-cell's initial breaks lie at most this ratio apart: on a panel from
@@ -360,7 +348,7 @@ _KNOT_MAX = 2.0**40
 
 def _cells(centers: list[float], widths: list[float]) -> list[tuple]:
     """The axis cut midway between consecutive distinct centers, as tails
-    (c, sign, length, knots) of _tail_segments from each half-cell's own
+    (c, sign, length, knots) of _tail_cells from each half-cell's own
     center c.
 
     A feature at x of width w shows from c at the offset max(|x - c|, w); a
@@ -422,7 +410,8 @@ def integrate_axisymmetric(
         )
     inner_cfg = QuadratureConfig(rel_tol=cfg.rel_tol * 0.1, abs_tol=cfg.abs_tol * 0.1)
     w = amb.d - 2
-    radial_tail = [(0.0, 1.0, math.inf, [k * r for r in ws for k in (0.25, 1.0, 4.0)])]
+    radial_knots = [k * r for r in ws for k in (0.25, 1.0, 4.0)]
+    radial_cells = _tail_cells([(0.0, 1.0, math.inf, radial_knots)])
     inner_evals = 0
 
     def profile(rows: np.ndarray, c: np.ndarray, ss: np.ndarray, q: np.ndarray):
@@ -438,15 +427,12 @@ def integrate_axisymmetric(
             vals = np.asarray(f(c_col[rows], s_col[rows], rhos), dtype=float)
             return (vals * rhos**w if w else vals) / q2[rows] / (qr * qr)
 
-        segments = _tail_segments(radial, radial_tail)
-        inner = _integrate_segments(segments, inner_cfg, len(s_col))
+        gt, segments = _mapped(radial, radial_cells)
+        inner = _integrate_segments(gt, segments, inner_cfg, len(s_col))
         inner_evals += sum(r.evaluations for r in inner)
         return np.array([r.value for r in inner]).reshape(ss.shape)
 
-    outer = _integrate_segments(_tail_segments(profile, _cells(xs, ws)), cfg)[0]
+    outer = _integrate_segments(*_mapped(profile, _tail_cells(_cells(xs, ws))), cfg)[0]
     area = 1.0 if w < 0 else sphere_area(amb.d - 1)
-    return QuadratureResult(
-        area * outer.value,
-        area * outer.error_estimate,
-        outer.evaluations + inner_evals,
-    )
+    evals = outer.evaluations + inner_evals
+    return QuadratureResult(area * outer.value, area * outer.error_estimate, evals)

@@ -529,6 +529,70 @@ class TestLpNorm:
         assert lp_norm(u) == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize(
+        "d, first, second",
+        [
+            (
+                3,
+                (0.8460310862417797, -0.47657051501493, 0.1891255704086055),
+                (-0.7134810066840558, -0.5703951752975143, 7.102246919893748),
+            ),
+            (
+                3,
+                (0.9780025755076877, -0.8517037518300699, 14.961735728464078),
+                (-0.5828178145818983, -2.164357768811084, 0.08303044296923799),
+            ),
+            (
+                5,
+                (-0.768264381918755, -1.4969619518253567, 16.952695753884008),
+                (0.9881790510667571, 1.8613034159795374, 16.08784418373737),
+            ),
+            (
+                5,
+                (0.5365732321815136, -2.5575453982276493, 11.256969224696022),
+                (-0.629591948706712, 0.35888207408940165, 0.36422855306704444),
+            ),
+        ],
+    )
+    def test_signed_pairs_match_mpmath_to_1e_14(self, d, first, second):
+        """Signed pairs (coeff, axial position, scale) at s = 1, drawn as the
+        benchmark's collinear reports draw theirs, at the default tolerance.
+        |u|^(2*) has a kink where u changes sign; lp_norm puts a knot there,
+        without which the third pair is 5.1e-14 off."""
+        mp = pytest.importorskip("mpmath")
+        (c1, x1, l1), (c2, x2, l2) = first, second
+        with mp.workdps(30):
+            l1, l2 = mp.mpf(l1), mp.mpf(l2)
+            sum_t = l1 / l2 + l2 / l1 + l1 * l2 * (mp.mpf(x1) - mp.mpf(x2)) ** 2
+            t = (sum_t + mp.sqrt(sum_t**2 - 4)) / 2
+        mass = mp_radial_pair_mass(d, 1.0, c1, c2, t)
+        expected = float(mass ** ((d - 2.0) / (2.0 * d)))
+        rest = (0.0,) * (d - 1)
+        u = Superposition(
+            Ambient(d, 1.0),
+            (
+                BubbleParam(c1, (x1,) + rest, float(l1)),
+                BubbleParam(c2, (x2,) + rest, float(l2)),
+            ),
+        )
+        assert lp_norm(u) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("mu", [1e15, 1e100, 1e-15, 1e-100])
+    def test_collinear_triple_is_dilation_invariant(self, mu):
+        """||.||_{2*} is dilation-invariant, and lp_norm integrates three or
+        more terms in the frame dilated by the power of two nearest the
+        geometric mean of their scales, which is exact: dilating the input
+        moves the result by rounding only."""
+        u = Superposition(
+            AMB31,
+            (
+                BubbleParam(1.0, ORIGIN3, 1.0),
+                BubbleParam(-0.5, (2.0, 0.0, 0.0), 0.5),
+                BubbleParam(0.3, (-1.0, 0.0, 0.0), 2.0),
+            ),
+        )
+        assert lp_norm(dilate(u, mu)) == pytest.approx(lp_norm(u), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
         "s, terms",
         [
             (0.25, [(1.0, 0.0, 1.0), (-0.5, 2.0, 0.5), (0.3, -1.0, 2.0)]),

@@ -1,7 +1,9 @@
 """Distance-to-manifold machinery: the m(f) maximizer search, dist_sq,
 and the stability quotient."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -371,6 +373,34 @@ class TestFrozenValues:
         brute = q(0.5 * (a + b))
         assert mopt.value == pytest.approx(brute, rel=1e-8)
         assert striding == 161
+
+
+class TestResultRecords:
+    """The result records are frozen dataclasses with slots: no instance
+    __dict__, and equality, hashing, repr, dataclasses.replace and pickling
+    behave as for the plain frozen dataclasses they were."""
+
+    def test_slotted_records_behave_as_before(self):
+        from sobstab.expansion import sweep_point
+
+        rep = functional_report(concentric(AMB31, (1.0, 1.0), (-0.7, 0.1)))
+        records = [rep, rep.m, rep.m.maximizer, sweep_point(1e-3, AMB31)]
+        for rec in records:
+            assert not hasattr(rec, "__dict__")
+            fields = dataclasses.fields(rec)
+            args = ", ".join(f"{f.name}={getattr(rec, f.name)!r}" for f in fields)
+            assert repr(rec) == f"{type(rec).__name__}({args})"
+            copy = pickle.loads(pickle.dumps(rec))
+            assert copy == rec and hash(copy) == hash(rec)
+            assert dataclasses.replace(rec) == rec
+            first = fields[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, first, getattr(rec, first))
+        bubble = BubbleParam(2.0, ORIGIN3, 3.0)
+        expected = "BubbleParam(coeff=2.0, center=(0.0, 0.0, 0.0), scale=3.0)"
+        assert repr(bubble) == expected
+        assert dataclasses.replace(bubble, scale=4.0) == BubbleParam(2.0, ORIGIN3, 4.0)
+        assert {bubble, BubbleParam(2, [0, 0, 0], 3)} == {bubble}
 
 
 class TestValidation:

@@ -148,7 +148,7 @@ class TestHalfLine:
 
         cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300)
         with pytest.raises(QuadratureNonConvergence):
-            quadrature._integrate_segments([(g, 0.0, 0.5), (g, 0.5, 1.0)], cfg, 15)
+            quadrature._integrate_segments(g, [(0.0, 0.5), (0.5, 1.0)], cfg, 15)
         assert calls <= 40
 
     def test_divergent_integrand_fails_honestly(self, monkeypatch):
@@ -188,6 +188,38 @@ class TestRealLine:
     def test_requires_knots(self):
         with pytest.raises(ParameterError):
             integrate_real_line(lambda x: np.exp(-x * x), TIGHT, knots=[])
+
+    def test_knots_one_ulp_apart(self):
+        """Twenty equal panels between knots one ulp apart round onto two
+        breaks: one panel between them, and no empty one to reject."""
+        knots = [1.0, math.nextafter(1.0, 2.0)]
+        res = integrate_real_line(lambda x: np.exp(-x * x), TIGHT, knots=knots)
+        assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+    def test_bubble_pairs_converge_in_the_first_pass(self, monkeypatch):
+        """The concentric pairs B + B_lambda of acceptance criterion 04, and
+        the d = 7 default grid at rel_tol 1e-12, meet their tolerance on the
+        first partition: 20 panels between the two knots and 8 on each tail,
+        each evaluated once (15 nodes) and none bisected."""
+        from sobstab import bubbles
+        from sobstab.expansion import default_lambda_grid, two_bubble
+
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(integrate_real_line(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(bubbles, "integrate_real_line", spy)
+        amb3, amb5, amb7 = Ambient(3, 1.0), Ambient(5, 1.0), Ambient(7, 1.0)
+        tight = QuadratureConfig(rel_tol=1e-12)
+        cases = [(amb3, lam, DEFAULT_CONFIG) for lam in np.geomspace(1e-5, 1e-7, 11)]
+        cases += [(amb5, lam, DEFAULT_CONFIG) for lam in np.geomspace(1e-3, 1e-5, 11)]
+        cases += [(amb7, lam, tight) for lam in default_lambda_grid(amb7, tight)]
+        for amb, lam, cfg in cases:
+            bubbles.lp_norm(two_bubble(float(lam), amb), cfg)
+        assert len(results) == len(cases) == 36
+        assert [r.evaluations for r in results] == [15 * (20 + 2 * 8)] * 36
 
     @given(shift=st.floats(-20.0, 20.0), width=st.floats(0.1, 5.0))
     @settings(max_examples=25, deadline=None)
@@ -342,9 +374,9 @@ def _nested_reference(f, amb, cfg, centers=(0.0,), widths=None):
             out[idx] = res.value
         return out
 
-    cells = quadrature._cells([float(x) for x in centers], ws)
+    cells = quadrature._tail_cells(quadrature._cells([float(x) for x in centers], ws))
     outer = quadrature._integrate_segments(
-        quadrature._tail_segments(profile, cells), cfg
+        *quadrature._mapped(profile, cells), cfg
     )[0]
     value = sphere_area(amb.d - 1) * outer.value
     return value, outer.evaluations + sum(inner_evals)
@@ -410,9 +442,9 @@ class TestLockstepBatch:
             return np.exp(-(rows[:, None] + 1.0) * xs) * np.cos(30.0 * xs)
 
         cfg = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300)
-        segments = [(g, 0.0, 0.5), (g, 0.5, 1.0)]
+        segments = [(0.0, 0.5), (0.5, 1.0)]
         with pytest.raises(QuadratureNonConvergence, match="panel limit") as exc:
-            quadrature._integrate_segments(segments, cfg, n)
+            quadrature._integrate_segments(g, segments, cfg, n)
         assert isinstance(exc.value.best, QuadratureResult)
         assert 15 * budget <= nodes < 4 * 15 * budget
 
