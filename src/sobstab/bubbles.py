@@ -524,14 +524,18 @@ def lp_norm(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
         for t, x in zip(u.terms, pos)
     ]
 
-    def f(c: float, s: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-        """|u|^(2*) at axial position c + s and distance rho from the axis."""
+    # Each term's factor coeff * lambda^beta, position and lambda^2.
+    scaled = [(c * lam**bexp, x, lam * lam) for c, x, lam in axial]
+
+    def f(c: np.ndarray, s: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+        """|u|^(2*) at axial position c + s and distance rho from the axis,
+        broadcast over the three."""
         rho2 = rhos * rhos
-        acc = np.zeros_like(rhos)
+        acc = 0.0
         with np.errstate(over="ignore"):  # a far bubble's profile is then 0
-            for coeff, ti, lam in axial:
-                z2 = lam * lam * ((s + (c - ti)) ** 2 + rho2)
-                acc += coeff * lam**bexp * (1.0 + z2) ** (-bexp)
+            for k, x, lam2 in scaled:
+                z = (1.0 + lam2 * (s + (c - x)) ** 2) + lam2 * rho2
+                acc = acc + k * z**-bexp
         return np.abs(cst.c_d * acc) ** two_star
 
     centers, widths = zip(*[(x, 1.0 / lam) for _, x, lam in axial])

@@ -2,23 +2,22 @@
 axisymmetric geometry about an axis through any number of centers.
 
 One engine underlies everything: a 15-point Kronrod rule with its embedded
-7-point Gauss estimate, applied to panels of a transformed integrand and
-refined adaptively in bulk (as in Shampine's vectorized quadrature, 2008):
-each step bisects, worst first, as many panels as it takes to leave the rest
-within half the tolerance.  Semi-infinite
+7-point Gauss estimate, applied to panels of a transformed integrand (in two
+dimensions, to boxes on the 15 x 15 tensor grid) and refined adaptively in
+bulk (as in Shampine's vectorized quadrature, 2008): each step bisects, worst
+first, as many panels as it takes to leave the rest within half the
+tolerance, and evaluates all the new panels in one vectorized call.  Semi-infinite
 directions are compactified algebraically, r = t/(1-t), which maps the
 algebraic decay of every integrand here (r^-(d+2s) or faster) to regular
 endpoint behavior -- no cutoff parameter.  The axisymmetric integrator cuts
 the axis midway between its centers and compactifies each half-cell the same
 way from its own center, so each bubble is resolved however far the others.
-
-The engine refines a batch of integrals of one integrand over the same
-initial segments in lockstep, evaluating all the new panels of a step in one
-vectorized call.  Each integral keeps the panel order and termination rule
-it would have alone; only the panel budget is shared.  The radial integrals
-at the nodes of all the axial panels of one outer step are one such batch.
-Each segment is a cell of one map (_mapped): a compactified tail or, between
-the real line's knots, the identity.
+Each axial segment is a cell of one map (_axial_map): a compactified tail
+or, between the real line's knots, the identity.  For d >= 2 its integral is
+one adaptive cubature over boxes, axial cell times radial panel (Genz and
+Malik, J. Comput. Appl. Math. 6, 1980, for the tensor rule): a box carries
+one error estimate per direction and is bisected along the worse one
+(Berntsen, Espelid and Genz, ACM TOMS 17, 1991).
 
 Half-line and real-line integrands are numpy-vectorized: each call receives
 a 1-D ndarray of nodes and must return an array of the same shape.
@@ -82,13 +81,13 @@ _WGAUSS[[1, 3, 5]] = _WG[:3]
 _WGAUSS[7] = _WG[3]
 _WGAUSS[[9, 11, 13]] = _WG[2::-1]
 
-_MAX_PANELS = 20000  # held by one call, per 15 integrals it refines
-_MAX_SUBDIVISIONS = 30  # bisections of one panel
+_MAX_PANELS = 20000  # panels (boxes) held by one call
+_MAX_SUBDIVISIONS = 30  # bisections of one panel along one axis
 # A panel whose estimate is within this fraction of its integral of |g| is
 # not bisected: the estimate is roundoff, which bisection does not reduce
 # (QUADPACK's dqk21 floors its estimates there, at 50 eps).
 _ROUNDOFF = 50 * 2.0**-52
-_NEG_ERR, _DEPTH, _VAL = itemgetter(0), itemgetter(4), itemgetter(5)
+_NEG_ERR, _VAL = itemgetter(0), itemgetter(5)
 
 
 @dataclass(frozen=True)
@@ -137,120 +136,139 @@ def _lift(f: Callable) -> Callable:
     return g
 
 
+def _check_finite(ys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Raise ParameterError naming the first box whose values ys (one row
+    of nodes per box) are not all finite."""
+    finite = np.isfinite(ys.reshape(len(ys), -1)).all(axis=1)
+    if not finite.all():
+        bad = int(finite.argmin())
+        box = " x ".join(f"[{a}, {b}]" for a, b in zip(lo[bad], hi[bad]))
+        raise ParameterError(f"integrand returned a non-finite value on panel {box}")
+
+
 def _evaluate(
-    g: Callable, rows: np.ndarray, ks: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kronrod values, negated error estimates and whether each estimate is
-    above roundoff, of the panels [a, b] of initial segments ks of integrals
-    rows, all from one call of g."""
+    g: Callable, ks: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Kronrod values, negated error estimates, whether each estimate is
+    above roundoff, and the axis to bisect (0) of the panels [lo, hi]
+    (shape (m, 1)) of initial segments ks, all from one call g(ks, xs) at
+    the (m, 15) nodes xs."""
+    a, b = lo[:, 0], hi[:, 0]
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     xs = c[:, None] + h[:, None] * _NODES
-    ys = np.ascontiguousarray(g(rows, ks, xs), dtype=float)
-    finite = np.isfinite(ys).all(axis=1)
-    if not finite.all():
-        bad = int(finite.argmin())
-        raise ParameterError(
-            f"integrand returned a non-finite value on panel [{a[bad]}, {b[bad]}]"
-        )
+    ys = np.ascontiguousarray(g(ks, xs), dtype=float)
+    _check_finite(ys, lo, hi)
     # vecdot sums each row as the 1-D dot product of a single panel does.
     k15 = h * np.vecdot(ys, _WK)
     err = np.abs(k15 - h * np.vecdot(ys, _WGAUSS))
-    return k15, -err, err > _ROUNDOFF * h * np.vecdot(np.abs(ys), _WK)
+    above = err > _ROUNDOFF * h * np.vecdot(np.abs(ys), _WK)
+    return k15, -err, above, np.zeros(len(ks), dtype=int)
 
 
-def _integrate_segments(
-    g: Callable, segments: Sequence[tuple], cfg: QuadratureConfig, n: int = 1
-) -> list[QuadratureResult]:
-    """Adaptive refinement of n integrals of g over initial (a, b) segments.
+# The Kronrod and the Gauss weights as the columns of one matrix.
+_W2 = np.column_stack((_WK, _WGAUSS))
 
-    ``g(rows, segs, xs)`` evaluates at an (m, 15) array of nodes whose k-th
-    row belongs to integral ``rows[k]`` and lies in initial segment
-    ``segs[k]``; each step makes one call.  An integral is done once
-    the fsum of its panels' error estimates meets its tolerance
-    max(rel_tol*|value|, abs_tol).  Until then, each step ranks its panels by
-    estimate, largest first (ties in creation order), and bisects them from
-    the top until those it leaves hold at most half the tolerance, passing
-    over panels whose estimate is roundoff (_ROUNDOFF); the new panels of all
-    integrals are evaluated together.  So each integral refines as it would
-    alone.  An open integral raises QuadratureNonConvergence with its best
-    estimate once a panel due for bisection is at depth _MAX_SUBDIVISIONS,
-    once the call holds _MAX_PANELS panels per 15 integrals (one axial
-    panel's radial integrals), or once no panel is due but roundoff.
+
+def _evaluate_boxes(
+    g: Callable, ks: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The same for boxes [lo, hi] (shape (m, 2)) on the 15 x 15 Kronrod
+    tensor grid, from one call g(ks, xs, ys) at node coordinates xs and ys
+    of shape (m, 15) that returns shape (m, 15, 15).  A box's estimate is
+    the sum of its two directional ones, |K x K - G x K| and
+    |K x K - K x G|, and its axis to bisect the one of the larger."""
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    xs = c[:, 0, None] + h[:, 0, None] * _NODES
+    ys = c[:, 1, None] + h[:, 1, None] * _NODES
+    vals = np.asarray(g(ks, xs, ys), dtype=float)
+    _check_finite(vals, lo, hi)
+    area = h[:, 0] * h[:, 1]
+    # rules[:, i, j]: rule i (Kronrod, Gauss) along x, rule j along y.
+    rules = area[:, None, None] * (_W2.T @ (vals @ _W2))
+    kk = rules[:, 0, 0]
+    ex = np.abs(kk - rules[:, 1, 0])
+    ey = np.abs(kk - rules[:, 0, 1])
+    err = ex + ey
+    above = err > _ROUNDOFF * area * (np.abs(vals) @ _WK @ _WK)
+    return kk, -err, above, (ey > ex).astype(int)
+
+
+def _integrate_boxes(
+    rule: Callable, g: Callable, ks: Sequence[int], lo: Sequence, hi: Sequence,
+    cfg: QuadratureConfig,
+) -> QuadratureResult:
+    """Adaptive refinement of the integral of g over initial boxes
+    [lo[k], hi[k]] (one row of coordinates each), box k in initial segment
+    ks[k]; ``rule`` (_evaluate or _evaluate_boxes) evaluates boxes.
+
+    Each step makes one call of g, for all the boxes it made.  The integral
+    is done once the fsum of its boxes' error estimates meets its tolerance
+    max(rel_tol*|value|, abs_tol).  Until then, each step ranks the boxes
+    by estimate, largest first (ties in creation order), and bisects them,
+    each along the axis its rule names, from the top until those it leaves
+    hold at most half the tolerance, passing over boxes whose estimate is
+    roundoff (_ROUNDOFF).  The call raises QuadratureNonConvergence with its
+    best estimate once a box due for bisection has been bisected
+    _MAX_SUBDIVISIONS times along its axis, once it holds _MAX_PANELS
+    boxes, or once no box is due but roundoff.
     """
-    budget = _MAX_PANELS * -(-n // len(_NODES))
-    nseg = len(segments)
-    # Per integral, its live panels (-err, seq, a, b, depth, val, segment,
-    # above roundoff), seq numbering the call's panels in order of creation.
-    live: list[list[tuple]] = [[] for _ in range(n)]
-    evals = [15 * nseg] * n
-    results: list[QuadratureResult] = [None] * n  # type: ignore[list-item]
-    rows = np.repeat(np.arange(n), nseg)
-    ks = np.tile(np.arange(nseg), n)
-    a = np.tile([float(lo) for lo, _ in segments], n)
-    b = np.tile([float(hi) for _, hi in segments], n)
-    depth = np.zeros(rows.size, dtype=int)
-    made = held = 0
-    active: Iterable[int] = range(n)
+    ks = np.asarray(ks)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    depth = np.zeros(lo.shape, dtype=int)
+    # The live boxes (-err, seq, lo, hi, depth, val, segment, above, axis),
+    # seq numbering the call's boxes in order of creation.
+    live: list[tuple] = []
+    evals = made = 0
     while True:
-        vals, errs, above = _evaluate(g, rows, ks, a, b)
-        cols = (errs, a, b, depth, vals, ks, above)
-        seqs = range(made, made + rows.size)
-        neg_err, a, b, depth, vals, ks, above = (x.tolist() for x in cols)
-        panels = zip(neg_err, seqs, a, b, depth, vals, ks, above)
-        for i, p in zip(rows.tolist(), panels):
-            live[i].append(p)
-        made += rows.size
-        held += rows.size
-        split, owners, still = [], [], []
-        for i in active:
-            row = live[i]
-            val = math.fsum(map(_VAL, row))
-            err = -math.fsum(map(_NEG_ERR, row))
-            tol = max(cfg.rel_tol * abs(val), cfg.abs_tol)
-            if err <= tol:
-                results[i] = QuadratureResult(val, err, evals[i])
-                continue
-            row.sort()
-            rest, half, due, kept = err, 0.5 * tol, [], []
-            for p in row:
-                if rest <= half:
-                    break
-                if p[7]:  # roundoff is not bisected away
-                    due.append(p)
-                    rest += p[0]
-                else:
-                    kept.append(p)
-            limit = (
-                "roundoff" if not due
-                else "depth" if max(map(_DEPTH, due)) >= _MAX_SUBDIVISIONS
-                else "panel" if held >= budget
-                else None
+        vals, errs, above, axis = rule(g, ks, lo, hi)
+        evals += vals.size * len(_NODES) ** lo.shape[1]
+        cols = (errs, lo, hi, depth, vals, ks, above, axis)
+        neg_err, lo, hi, depth, vals, ks, above, axis = (x.tolist() for x in cols)
+        seqs = range(made, made + len(vals))
+        made += len(vals)
+        live += zip(neg_err, seqs, lo, hi, depth, vals, ks, above, axis)
+        val = math.fsum(map(_VAL, live))
+        err = -math.fsum(map(_NEG_ERR, live))
+        tol = max(cfg.rel_tol * abs(val), cfg.abs_tol)
+        if err <= tol:
+            return QuadratureResult(val, err, evals)
+        live.sort()
+        rest, half, due, kept = err, 0.5 * tol, [], []
+        for p in live:
+            if rest <= half:
+                break
+            if p[7]:  # roundoff is not bisected away
+                due.append(p)
+                rest += p[0]
+            else:
+                kept.append(p)
+        limit = (
+            "roundoff" if not due
+            else "depth" if max(p[4][p[8]] for p in due) >= _MAX_SUBDIVISIONS
+            else "panel" if len(live) >= _MAX_PANELS
+            else None
+        )
+        if limit:
+            raise QuadratureNonConvergence(
+                f"tolerance not met: error estimate {err:.3e} with "
+                f"{len(live)} panels at the call's {limit} limit",
+                best=QuadratureResult(val, err, evals),
             )
-            if limit:
-                raise QuadratureNonConvergence(
-                    f"tolerance not met: error estimate {err:.3e} with "
-                    f"{len(row)} panels at the call's {limit} limit",
-                    best=QuadratureResult(val, err, evals[i]),
-                )
-            row[: len(due) + len(kept)] = kept
-            split += due
-            owners += [i] * len(due)
-            held -= len(due)
-            evals[i] += 30 * len(due)
-            still.append(i)
-        if not split:
-            return results
-        active = still
-        _, _, a, b, depth, _, ks, _ = map(np.array, zip(*split))
-        mid = 0.5 * (a + b)
-        a = np.column_stack((a, mid)).ravel()
-        b = np.column_stack((mid, b)).ravel()
-        depth, ks, rows = (np.repeat(x, 2) for x in (depth + 1, ks, owners))
+        live[: len(due) + len(kept)] = kept
+        _, _, lo, hi, depth, _, ks, _, axis = map(np.array, zip(*due))
+        n = np.arange(len(due))
+        mid = 0.5 * (lo[n, axis] + hi[n, axis])
+        cols = (lo, hi, depth, ks, axis)
+        lo, hi, depth, ks, axis = (np.repeat(x, 2, axis=0) for x in cols)
+        hi[2 * n, axis[::2]] = mid
+        lo[2 * n + 1, axis[::2]] = mid
+        depth[np.arange(2 * len(due)), axis] += 1
 
 
 def _tail_cells(tails: Iterable[tuple]) -> list[tuple]:
-    """Cells (c, sign, h, kappa, a, b) of _mapped for tails (c, sign,
+    """Cells (c, sign, h, kappa, a, b) of _axial_map for tails (c, sign,
     length, knots), h = min(1, length), kappa = 1 - h/length: an infinite
     length gives r = t/(1-t), a finite one ends at exactly the length, and
     one shorter than 1 maps linearly.  Each tail splits at t = 1/2 and at
@@ -265,19 +283,33 @@ def _tail_cells(tails: Iterable[tuple]) -> list[tuple]:
     return cells
 
 
-def _mapped(g: Callable, cells: Sequence[tuple]) -> tuple[Callable, list[tuple]]:
-    """One integrand for cells (c, sign, h, kappa, a, b), and their segments
-    [a, b]: t maps to the offset sign * h t/q from c, q = 1 - kappa t, with
-    Jacobian h/q^2, of which g(rows, c, offset, q) applies 1/q^2 (c has one
-    column, offset and q one per node); (0, 1, 1, 0, a, b) is the identity."""
+def _axial_map(cells: Sequence[tuple]) -> Callable:
+    """The map of cells (c, sign, h, kappa, a, b): (segs, ts) -> (c, offset,
+    q, h), where t of cell segs maps to the offset sign * h t/q from c,
+    q = 1 - kappa t, with Jacobian h/q^2 (c and h have one column, offset
+    and q one per node); (0, 1, 1, 0, a, b) is the identity."""
     cs, signs, hs, kappas = (np.array(x)[:, None] for x in list(zip(*cells))[:4])
 
-    def gt(rows: np.ndarray, segs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    def point(segs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, ...]:
         q = 1.0 - kappas[segs] * ts
-        h = hs[segs]
-        return h * g(rows, cs[segs], signs[segs] * (h * ts / q), q)
+        return cs[segs], signs[segs] * (hs[segs] * ts / q), q, hs[segs]
 
-    return gt, [(a, b) for *_, a, b in cells]
+    return point
+
+
+def _integrate_cells(
+    g: Callable, cells: Sequence[tuple], cfg: QuadratureConfig
+) -> QuadratureResult:
+    """Integrate over cells (c, sign, h, kappa, a, b) of _axial_map with one
+    integrand g(c, offset, q) that applies the 1/q^2 of the Jacobian."""
+    point = _axial_map(cells)
+
+    def gt(segs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        c, offset, q, h = point(segs, ts)
+        return h * g(c, offset, q)
+
+    lo, hi = [[a] for *_, a, _ in cells], [[b] for *_, b in cells]
+    return _integrate_boxes(_evaluate, gt, range(len(cells)), lo, hi, cfg)
 
 
 def integrate_half_line(
@@ -298,8 +330,7 @@ def integrate_half_line(
     """
     g = _lift(f)
     cells = _tail_cells([(0.0, 1.0, math.inf, knots or ())])
-    gt, segments = _mapped(lambda rows, c, r, q: g(r) / (q * q), cells)
-    return _integrate_segments(gt, segments, cfg)[0]
+    return _integrate_cells(lambda c, r, q: g(r) / (q * q), cells, cfg)
 
 
 # integrate_real_line's first partition resolves a bubble, an O(1)-wide bump
@@ -333,8 +364,7 @@ def integrate_real_line(
     cells = [(0.0, 1.0, 1.0, 0.0, a, b) for a, b in zip(breaks[:-1], breaks[1:])]
     tails = [(ks[0], -1.0, math.inf, _TAIL_KNOTS), (ks[-1], 1.0, math.inf, _TAIL_KNOTS)]
     cells += _tail_cells(tails)
-    gt, segments = _mapped(lambda rows, c, v, q: g(c + v) / (q * q), cells)
-    return _integrate_segments(gt, segments, cfg)[0]
+    return _integrate_cells(lambda c, v, q: g(c + v) / (q * q), cells, cfg)
 
 
 # A half-cell's initial breaks lie at most this ratio apart: on a panel from
@@ -352,8 +382,8 @@ def _cells(centers: list[float], widths: list[float]) -> list[tuple]:
     center c.
 
     A feature at x of width w shows from c at the offset max(|x - c|, w); a
-    half-cell breaks there, and a geometric ladder keeps its breaks within
-    _KNOT_RATIO up to its end (a tail's: its last break)."""
+    half-cell breaks there, and a _ladder up to its end (a tail's: its last
+    break)."""
     cs = sorted(set(centers))
     mids = [0.5 * a + 0.5 * b for a, b in zip(cs[:-1], cs[1:])]
     cells = []
@@ -366,12 +396,27 @@ def _cells(centers: list[float], widths: list[float]) -> list[tuple]:
             knots = sorted(r for r in shows if 0.0 < r < top)
             if length < math.inf:
                 knots.append(top)
-            ladder = list(knots)
-            for a, b in zip(knots, knots[1:]):
-                n = math.ceil((math.log(b) - math.log(a)) / math.log(_KNOT_RATIO))
-                ladder += [a ** (1 - k / n) * b ** (k / n) for k in range(1, n)]
-            cells.append((c, sign, length, ladder))
+            cells.append((c, sign, length, _ladder(knots)))
     return cells
+
+
+def _ladder(knots: list[float]) -> list[float]:
+    """Sorted positive knots and, between each two, the fewest geometric
+    breaks that leave consecutive breaks within _KNOT_RATIO."""
+    ladder = list(knots)
+    for a, b in zip(knots, knots[1:]):
+        n = math.ceil((math.log(b) - math.log(a)) / math.log(_KNOT_RATIO))
+        ladder += [a ** (1 - k / n) * b ** (k / n) for k in range(1, n)]
+    return ladder
+
+
+# The cubature refines until its estimate meets this fraction of the
+# caller's tolerance: at the tolerance itself its true error moves a
+# triple's norm by 6e-12 when the frame is dilated.  It stops at
+# _BOX_FLOOR relative, though: each box's rule carries roundoff of tens to
+# hundreds of ulp of its integral of |f|, which no bisection removes.
+_BOX_FACTOR = 0.01
+_BOX_FLOOR = 1e-13
 
 
 def integrate_axisymmetric(
@@ -392,12 +437,19 @@ def integrate_axisymmetric(
     nonempty) and each half-cell runs from its own center c, so f receives c
     and the offset s apart and can form the distance to a feature there
     exactly.  ``widths`` (one per center, > 0; 1 each by default) place the
-    initial breaks (see _cells) and split each radial integral at a quarter,
-    one and four widths.  f must broadcast over centers and offsets of shape
-    (m, 1) and radii of shape (m, 15) to shape (m, 15).  The radial integrals
-    at the nodes of all the axial panels one outer step evaluates refine as
-    one lockstep batch, at 10x tighter tolerance, with the axial Jacobian
-    inside so the inner abs_tol is on the outer scale.
+    initial breaks (see _cells) and split the radial direction, r = t/(1-t),
+    at a quarter, one and four widths and on a _ladder between them.
+
+    At d = 1 the axis is one adaptive integral, and f must broadcast centers
+    of shape (m, 1) and offsets and radii of shape (m, 15) to shape (m, 15).
+    For d >= 2 the whole integral is one adaptive cubature over boxes, axial
+    panel times radial panel, on the 15 x 15 Kronrod grid, and f must
+    broadcast centers of shape (m, 1, 1), offsets of shape (m, 15, 1) and
+    radii of shape (m, 1, 15) to shape (m, 15, 15).  The cubature refines
+    until its error estimate meets a hundredth of the tolerance
+    max(rel_tol*|value|, abs_tol) on the value returned, or 1e-13 relative
+    if that is larger (_BOX_FLOOR), and raises QuadratureNonConvergence,
+    with that estimate as its best, if it then misses the tolerance itself.
     """
     xs = [float(x) for x in centers]
     ws = [1.0] * len(xs) if widths is None else [float(r) for r in widths]
@@ -408,31 +460,44 @@ def integrate_axisymmetric(
             "integrate_axisymmetric requires finite, nonempty centers and one "
             "finite width > 0 per center"
         )
-    inner_cfg = QuadratureConfig(rel_tol=cfg.rel_tol * 0.1, abs_tol=cfg.abs_tol * 0.1)
-    w = amb.d - 2
-    radial_knots = [k * r for r in ws for k in (0.25, 1.0, 4.0)]
-    radial_cells = _tail_cells([(0.0, 1.0, math.inf, radial_knots)])
-    inner_evals = 0
+    cells = _tail_cells(_cells(xs, ws))
+    if amb.d == 1:
+        return _integrate_cells(
+            lambda c, s, q: f(c, s, np.zeros_like(s)) / (q * q), cells, cfg
+        )
+    box_cfg = QuadratureConfig(
+        rel_tol=max(_BOX_FACTOR * cfg.rel_tol, _BOX_FLOOR),
+        abs_tol=_BOX_FACTOR * cfg.abs_tol,
+    )
+    res = _integrate_boxes(_evaluate_boxes, *_boxes(f, amb.d, cells, ws), box_cfg)
+    if res.error_estimate > max(cfg.rel_tol * abs(res.value), cfg.abs_tol):
+        raise QuadratureNonConvergence(
+            f"tolerance not met: error estimate {res.error_estimate:.3e} at "
+            f"the cubature's floor of {_BOX_FLOOR:g} relative",
+            best=res,
+        )
+    return res
 
-    def profile(rows: np.ndarray, c: np.ndarray, ss: np.ndarray, q: np.ndarray):
-        nonlocal inner_evals
-        if w < 0:
-            return f(c, ss, np.zeros_like(ss)) / (q * q)
-        # One radial integral per node, all refined as one batch.
-        c_col = np.broadcast_to(c, ss.shape).reshape(-1, 1)
-        s_col = ss.reshape(-1, 1)
-        q2 = (q * q).reshape(-1, 1)
 
-        def radial(rows: np.ndarray, _, rhos: np.ndarray, qr: np.ndarray):
-            vals = np.asarray(f(c_col[rows], s_col[rows], rhos), dtype=float)
-            return (vals * rhos**w if w else vals) / q2[rows] / (qr * qr)
+def _boxes(f: Callable, d: int, cells: list[tuple], ws: list[float]) -> tuple:
+    """The integrand g(ks, ts, us) of integrate_axisymmetric in R^d on its
+    boxes, axial cell ks times radial panel, angular factor included, and
+    the boxes' segments and corners."""
+    point = _axial_map(cells)
+    area = sphere_area(d - 1)
+    radial_knots = _ladder(sorted({k * r for r in ws for k in (0.25, 1.0, 4.0)}))
+    radial = [(a, b) for *_, a, b in _tail_cells([(0.0, 1.0, math.inf, radial_knots)])]
 
-        gt, segments = _mapped(radial, radial_cells)
-        inner = _integrate_segments(gt, segments, inner_cfg, len(s_col))
-        inner_evals += sum(r.evaluations for r in inner)
-        return np.array([r.value for r in inner]).reshape(ss.shape)
+    def g(ks: np.ndarray, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
+        c, s, q, h = point(ks, ts)
+        qr = 1.0 - us
+        rho = us / qr
+        jx = h / (q * q)
+        jr = area * rho ** (d - 2) / (qr * qr)
+        vals = f(c[:, :, None], s[:, :, None], rho[:, None, :])
+        return vals * jx[:, :, None] * jr[:, None, :]
 
-    outer = _integrate_segments(*_mapped(profile, _tail_cells(_cells(xs, ws))), cfg)[0]
-    area = 1.0 if w < 0 else sphere_area(amb.d - 1)
-    evals = outer.evaluations + inner_evals
-    return QuadratureResult(area * outer.value, area * outer.error_estimate, evals)
+    ks = [k for k in range(len(cells)) for _ in radial]
+    lo = [(cell[4], a) for cell in cells for a, _ in radial]
+    hi = [(cell[5], b) for cell in cells for _, b in radial]
+    return g, ks, lo, hi

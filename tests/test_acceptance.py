@@ -70,11 +70,11 @@ def test_criterion_02_interaction_derivatives():
         errors.append(f"G(1)/sqrt(lam) vs 16/(3 pi): rel {dc.g_value_rel_err:.3e}")
     if abs(dc.g_prime_scaled - b_ref) / abs(b_ref) >= 1e-3:
         errors.append(f"G'(1)/sqrt(lam) vs -4/(15 pi^2): rel {dc.g_prime_rel_err:.3e}")
-    if dc.a_closed != pytest.approx(a_ref, rel=1e-12):
+    if dc.a_closed != pytest.approx(a_ref, rel=1e-12, abs=0.0):
         errors.append("closed form a_d mismatch")
-    if dc.b_closed != pytest.approx(b_ref, rel=1e-12):
+    if dc.b_closed != pytest.approx(b_ref, rel=1e-12, abs=0.0):
         errors.append("closed form b_d mismatch")
-    if dc.c0_closed != pytest.approx(c0_ref, rel=1e-12):
+    if dc.c0_closed != pytest.approx(c0_ref, rel=1e-12, abs=0.0):
         errors.append("closed form c0 mismatch")
     finish(
         2, "finite-difference F, G derivatives vs closed forms", t0, 5.0, errors

@@ -22,8 +22,14 @@ from sobstab.bubbles import (
     superposition_to_dict,
 )
 from sobstab.constants import Ambient, sharp_constants
-from sobstab.errors import GeometryError, ParameterError, SchemaError
+from sobstab.errors import (
+    GeometryError,
+    ParameterError,
+    QuadratureNonConvergence,
+    SchemaError,
+)
 from sobstab.functional import m_value
+from sobstab.quadrature import QuadratureConfig
 
 AMB31 = Ambient(3, 1.0)
 ORIGIN3 = (0.0, 0.0, 0.0)
@@ -214,7 +220,7 @@ class TestEvaluate:
     def test_center_value(self):
         cst = sharp_constants(AMB31)
         u = single(AMB31, coeff=2.0, scale=4.0)
-        assert evaluate(u, ORIGIN3) == pytest.approx(2.0 * 2.0 * cst.c_d, rel=1e-14)
+        assert evaluate(u, ORIGIN3) == pytest.approx(2.0 * 2.0 * cst.c_d, rel=1e-14, abs=0.0)
 
     def test_decay_value(self):
         cst = sharp_constants(AMB31)
@@ -264,7 +270,7 @@ class TestConformalActions:
         )
         back = invert(invert(u, 1.5), 1.5)
         for t0, t1 in zip(u.terms, back.terms):
-            assert t1.scale == pytest.approx(t0.scale, rel=1e-15)
+            assert t1.scale == pytest.approx(t0.scale, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
     def test_invert_validation(self, tau):
@@ -591,6 +597,56 @@ class TestLpNorm:
             ),
         )
         assert lp_norm(dilate(u, mu)) == pytest.approx(lp_norm(u), rel=1e-12, abs=0.0)
+
+    def test_unreachable_tolerance_keeps_the_whole_integral(self):
+        """A triple that cannot meet rel_tol 1e-16 raises with the estimate of
+        the whole axisymmetric integral int |u|^{2*}, in the units
+        integrate_axisymmetric returns, and that estimate is within its own
+        error estimate of the converged value."""
+        u = Superposition(
+            AMB31,
+            (
+                BubbleParam(1.0, ORIGIN3, 1.0),
+                BubbleParam(-0.5, (2.0, 0.0, 0.0), 0.5),
+                BubbleParam(0.3, (-1.0, 0.0, 0.0), 2.0),
+            ),
+        )
+        converged = lp_norm(u, QuadratureConfig(rel_tol=1e-13)) ** AMB31.two_star
+        cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300)
+        with pytest.raises(QuadratureNonConvergence) as exc:
+            lp_norm(u, cfg)
+        best = exc.value.best
+        assert abs(best.value - converged) <= best.error_estimate
+        assert best.error_estimate <= 1e-12 * converged
+        assert best.evaluations < 100_000
+
+    @pytest.mark.parametrize("rel_tol", [1e-11, 1e-12])
+    def test_wide_triple_converges(self, rel_tol, monkeypatch):
+        """(0.6955 at 1.5714, lambda 1e-6), (-0.4925 at -2.333, lambda 22),
+        (0.4173 at -2.8812, lambda 31.9) spans scales 3e7 apart.  It converges
+        at tight tolerances, within 1e-11 of its value at rel_tol 1e-12 under
+        the earlier nested scheme, and with a bounded number of evaluations:
+        that scheme took 4.7 million at rel_tol 1e-12, one radial integral
+        alone 1.3 million."""
+        from sobstab import bubbles
+
+        integrate = bubbles.integrate_axisymmetric
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(integrate(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(bubbles, "integrate_axisymmetric", spy)
+        u = on_line(
+            [(0.6955, 1.5714, 1e-6), (-0.4925, -2.333, 22.0), (0.4173, -2.8812, 31.9)],
+            ORIGIN3,
+            (1.0, 0.0, 0.0),
+        )
+        value = lp_norm(u, QuadratureConfig(rel_tol=rel_tol))
+        assert value == pytest.approx(0.7056294327512571, rel=1e-11, abs=0.0)
+        assert len(results) == 1
+        assert results[0].evaluations <= 4_000_000
 
     @pytest.mark.parametrize(
         "s, terms",

@@ -305,8 +305,8 @@ class TestEval:
         self, capsys, tmp_path, doc
     ):
         """A collinear pair integrates radially, at its conformal ratio; a
-        triple refines a batch of radial integrals in lockstep, and the first
-        that cannot converge must end the run."""
+        triple is one cubature over (axial, radial) boxes, which refines to
+        its floor of 1e-13 relative and must end the run there."""
         cfgp = write_config(tmp_path, doc)
         rc, out, err = run(
             capsys, "eval", "--config", cfgp,

@@ -23,7 +23,7 @@ AMB51 = Ambient(5, 1.0)
 class TestAmbient:
     def test_two_star(self):
         assert Ambient(3, 1.0).two_star == 6.0
-        assert Ambient(5, 1.0).two_star == pytest.approx(10.0 / 3.0, rel=1e-15)
+        assert Ambient(5, 1.0).two_star == pytest.approx(10.0 / 3.0, rel=1e-15, abs=0.0)
         assert Ambient(2, 0.5).two_star == 4.0
 
     def test_beta_exp(self):
@@ -54,7 +54,7 @@ class TestSphereArea:
         ],
     )
     def test_known_values(self, d, expected):
-        assert sphere_area(d) == pytest.approx(expected, rel=1e-14)
+        assert sphere_area(d) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_rejects_zero(self):
         with pytest.raises(ParameterError):
@@ -76,7 +76,7 @@ class TestBetaHalfLine:
 
     def test_simple_exact_value(self):
         # integral of (1+r^2)^-1 over (0, inf) = pi/2
-        assert beta_half_line(0.0, 1.0) == pytest.approx(math.pi / 2.0, rel=1e-14)
+        assert beta_half_line(0.0, 1.0) == pytest.approx(math.pi / 2.0, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
         "p, q",
@@ -102,14 +102,14 @@ class TestClosedForms:
 
     def test_appendix_constants(self):
         c0, a_d, b_d = appendix_constants(AMB31)
-        assert c0 == pytest.approx(16.0 / (3.0 * math.pi), rel=1e-13)
-        assert a_d == pytest.approx(-1.0 / (32.0 * math.pi), rel=1e-13)
-        assert b_d == pytest.approx(-4.0 / (15.0 * math.pi**2), rel=1e-13)
+        assert c0 == pytest.approx(16.0 / (3.0 * math.pi), rel=1e-13, abs=0.0)
+        assert a_d == pytest.approx(-1.0 / (32.0 * math.pi), rel=1e-13, abs=0.0)
+        assert b_d == pytest.approx(-4.0 / (15.0 * math.pi**2), rel=1e-13, abs=0.0)
 
     def test_eigen_factor_integer_values_for_s1(self):
         # For s = 1 the Gamma ratio collapses to d(d-2).
-        assert sharp_constants(AMB31).A_ds == pytest.approx(3.0, rel=1e-13)
-        assert sharp_constants(AMB51).A_ds == pytest.approx(15.0, rel=1e-13)
+        assert sharp_constants(AMB31).A_ds == pytest.approx(3.0, rel=1e-13, abs=0.0)
+        assert sharp_constants(AMB51).A_ds == pytest.approx(15.0, rel=1e-13, abs=0.0)
         assert sharp_constants(Ambient(7, 1.0)).A_ds == pytest.approx(
             35.0, rel=1e-13
         )
@@ -163,7 +163,7 @@ class TestCrossIdentities:
         cst = sharp_constants(Ambient(d, s))
         lhs = cst.radial_slice_factor * cst.b_d
         rhs = -cst.c0 * (d - 2.0 * s) / 2.0
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("d, s", [(3, 1.0), (5, 1.0), (2, 0.5), (3, 0.75)])
     def test_constants_signs(self, d, s):

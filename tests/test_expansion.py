@@ -86,8 +86,8 @@ class TestDerivativeCheck:
 
     def test_closed_form_reference_values(self):
         dc = derivative_check(AMB31)
-        assert dc.a_closed == pytest.approx(-1.0 / (32.0 * math.pi), rel=1e-13)
-        assert dc.b_closed == pytest.approx(-4.0 / (15.0 * math.pi**2), rel=1e-13)
+        assert dc.a_closed == pytest.approx(-1.0 / (32.0 * math.pi), rel=1e-13, abs=0.0)
+        assert dc.b_closed == pytest.approx(-4.0 / (15.0 * math.pi**2), rel=1e-13, abs=0.0)
         assert dc.c0_closed == pytest.approx(16.0 / (3.0 * math.pi), rel=1e-13)
 
     def test_richardson_consistency(self):
@@ -142,7 +142,7 @@ class TestThresholdAndPrediction:
     def test_predicted_coefficient_sign_and_form(self):
         cst = sharp_constants(AMB31)
         expected = (2.0 ** (2.0 / AMB31.two_star + 1.0) - 2.0) * cst.c0
-        assert predicted_coefficient(AMB31) == pytest.approx(expected, rel=1e-15)
+        assert predicted_coefficient(AMB31) == pytest.approx(expected, rel=1e-15, abs=0.0)
         assert predicted_coefficient(AMB31) > 0.0
 
 

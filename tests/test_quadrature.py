@@ -133,23 +133,7 @@ class TestHalfLine:
             integrate_half_line(f, cfg)
         assert calls <= 40
         exact = beta_half_line(0.0, 1.2345)
-        assert exc.value.best.value == pytest.approx(exact, rel=1e-14)
-
-    def test_unreachable_tolerance_fails_fast_in_a_batch(self):
-        """The same for 15 integrals refined in lockstep, as the radial
-        integrals at the nodes of an axial panel are: Lorentzian peaks of
-        widths 0.01 to 0.04, which take a few steps to resolve."""
-        calls = 0
-
-        def g(rows, segs, xs):
-            nonlocal calls
-            calls += 1
-            return 1.0 / (1e-4 * (rows[:, None] + 1.0) + (xs - 0.3) ** 2)
-
-        cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300)
-        with pytest.raises(QuadratureNonConvergence):
-            quadrature._integrate_segments(g, [(0.0, 0.5), (0.5, 1.0)], cfg, 15)
-        assert calls <= 40
+        assert exc.value.best.value == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_divergent_integrand_fails_honestly(self, monkeypatch):
         """1/r is finite at every interior node; the divergence must surface
@@ -337,50 +321,41 @@ class TestAxisymmetric:
         assert triple.evaluations <= 2 * pair.evaluations
 
     def test_nonfinite_integrand_rejected_in_batch(self):
-        """A non-finite value in a batch of radial integrals names the
-        first panel that produced one: [0.5, 0.8], the images of one and of
-        four default unit widths."""
+        """A non-finite value among the boxes one step evaluates names the
+        first box that produced one: the first axial cell, [0, 0.5], times
+        the radial panel [0.5, 0.8], the images of one and of four default
+        unit widths."""
 
         def f(c, s, rhos):
             return np.where(rhos > 2.0, np.nan, np.exp(-((c + s) ** 2 + rhos * rhos)))
 
         with pytest.raises(
-            ParameterError, match=r"non-finite value on panel \[0\.5, 0\.8\]"
+            ParameterError,
+            match=r"non-finite value on panel \[0\.0, 0\.5\] x \[0\.5, 0\.8\]",
         ):
             integrate_axisymmetric(f, Ambient(3, 1.0), DEFAULT_CONFIG)
 
 
-def _nested_reference(f, amb, cfg, centers=(0.0,), widths=None):
-    """The axisymmetric integral with one integrate_half_line per axial node:
-    the same half-cells as integrate_axisymmetric (quadrature._cells), whose
-    integrand runs, at each node, one integrate_half_line of f times the
-    node's Jacobian at 10x tighter tolerance, split at a quarter, one and four
-    widths.  Returns the value and the total number of integrand
-    evaluations."""
-    inner_cfg = QuadratureConfig(rel_tol=cfg.rel_tol * 0.1, abs_tol=cfg.abs_tol * 0.1)
-    w = amb.d - 2
-    ws = [1.0] * len(centers) if widths is None else list(widths)
-    knots = [k * r for r in ws for k in (0.25, 1.0, 4.0)]
-    inner_evals = []
+def _lorentzian(k):
+    """(1 + |x|^2)^-k on R^d, whose integral is
+    pi^(d/2) Gamma(k - d/2) / Gamma(k)."""
+    return lambda c, s, r: (1.0 + (c + s) ** 2 + r * r) ** -k
 
-    def profile(rows, cs, ss, q):
-        out = np.empty_like(ss)
-        for idx in np.ndindex(ss.shape):
-            c, s, q2 = cs[idx[0], 0], ss[idx], q[idx] * q[idx]
-            res = integrate_half_line(
-                lambda rhos: f(c, s, rhos) * rhos**w / q2, inner_cfg, knots=knots
-            )
-            inner_evals.append(res.evaluations)
-            out[idx] = res.value
-        return out
 
-    cells = quadrature._tail_cells(quadrature._cells([float(x) for x in centers], ws))
-    outer = quadrature._integrate_segments(
-        *quadrature._mapped(profile, cells), cfg
-    )[0]
-    value = sphere_area(amb.d - 1) * outer.value
-    return value, outer.evaluations + sum(inner_evals)
-
+# (integrand, ambient, keyword arguments, exact integral over R^d)
+_CLOSED_FORMS = [
+    (_lorentzian(3.0), Ambient(2, 0.5), {}, math.pi / 2.0),
+    (_lorentzian(4.0), Ambient(3, 0.5), {}, math.pi**2 / 8.0),
+    (_lorentzian(6.0), Ambient(5, 0.5), {}, math.pi**3 / 64.0),
+    (lambda c, s, r: np.exp(-((c + s) ** 2 + r * r)), Ambient(3, 1.0), {}, math.pi**1.5),
+    (
+        lambda c, s, r: np.exp(-((s + (c - 7.0)) ** 2 + r * r)),
+        Ambient(3, 1.0),
+        dict(centers=[0.0, 7.0]),
+        math.pi**1.5,
+    ),
+]
+_CLOSED_FORM_IDS = ["radial-d2", "radial-d3", "radial-d5", "gaussian", "off-center"]
 
 _SIGNED_TERMS = ((1.0, -1.5, 0.3), (-0.6, 0.4, 1.0), (0.35, 2.0, 4.0))
 _SIGNED_CELLS = dict(
@@ -399,54 +374,100 @@ def _signed_bubbles(c, s, rhos):
     return np.abs(u) ** (10.0 / 3.0)
 
 
-class TestLockstepBatch:
-    """integrate_axisymmetric refines the radial integrals of all the axial
-    panels of an outer step together; each must match the same integral
-    refined alone."""
+class TestBoxCubature:
+    """For d >= 2 integrate_axisymmetric is one adaptive cubature over
+    boxes, axial panel times radial panel, on the 15 x 15 Kronrod grid."""
 
-    @pytest.mark.parametrize(
-        "f, amb, kwargs",
-        [
-            (lambda c, s, r: (1.0 + (c + s) ** 2 + r * r) ** -3.0, Ambient(2, 0.5), {}),
-            (lambda c, s, r: (1.0 + (c + s) ** 2 + r * r) ** -4.0, Ambient(3, 0.5), {}),
-            (lambda c, s, r: (1.0 + (c + s) ** 2 + r * r) ** -6.0, Ambient(5, 0.5), {}),
-            (lambda c, s, r: np.exp(-((c + s) ** 2 + r * r)), Ambient(3, 1.0), {}),
-            (
-                lambda c, s, r: np.exp(-((s + (c - 7.0)) ** 2 + r * r)),
-                Ambient(3, 1.0),
-                dict(centers=[0.0, 7.0]),
-            ),
-            (_signed_bubbles, Ambient(5, 1.0), _SIGNED_CELLS),
-        ],
-        ids=["radial-d2", "radial-d3", "radial-d5", "gaussian", "off-center", "signed"],
-    )
-    def test_matches_per_node_nested_reference(self, f, amb, kwargs):
+    @pytest.mark.parametrize("f, amb, kwargs, exact", _CLOSED_FORMS, ids=_CLOSED_FORM_IDS)
+    def test_matches_closed_form_within_its_estimate(self, f, amb, kwargs, exact):
+        """The value is within its own error estimate of the closed form, and
+        the estimate within a hundredth of the caller's tolerance, to which
+        the cubature refines."""
         res = integrate_axisymmetric(f, amb, DEFAULT_CONFIG, **kwargs)
-        value, evaluations = _nested_reference(f, amb, DEFAULT_CONFIG, **kwargs)
-        assert res.evaluations == evaluations
-        assert res.value == pytest.approx(value, rel=1e-14)
+        assert abs(res.value - exact) <= res.error_estimate
+        assert res.error_estimate <= 0.01 * DEFAULT_CONFIG.rel_tol * res.value
+        assert res.value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
-    def test_panel_budget_is_shared_by_the_batch(self, monkeypatch):
-        """At an unreachable tolerance a batch of 30 integrals (two axial
-        panels' radial integrals) stops once it holds _MAX_PANELS panels per
-        15 of them, in all: not _MAX_PANELS per call, nor per integral.  The
-        batch doubles its panels each step, so by then it has evaluated at
-        least its budget and less than four times it."""
+    def test_signed_bubbles_match_dblquad(self):
+        """|u|^{2*} of a signed collinear triple against scipy's QUADPACK
+        dblquad, which shares no code with sobstab: the axial range split at
+        the centers, and rho in (0, inf)."""
+        dblquad = pytest.importorskip("scipy.integrate").dblquad
+        amb = Ambient(5, 1.0)
+
+        def integrand(rho, x):
+            return _signed_bubbles(0.0, x, rho) * rho**3
+
+        cuts = [-np.inf] + sorted(_SIGNED_CELLS["centers"]) + [np.inf]
+        total = sum(
+            dblquad(integrand, lo, hi, 0.0, np.inf, epsabs=0.0, epsrel=1e-12)[0]
+            for lo, hi in zip(cuts[:-1], cuts[1:])
+        )
+        res = integrate_axisymmetric(_signed_bubbles, amb, DEFAULT_CONFIG, **_SIGNED_CELLS)
+        assert res.value == pytest.approx(sphere_area(4) * total, rel=1e-10)
+
+    @pytest.mark.parametrize("f, amb, kwargs, exact", _CLOSED_FORMS, ids=_CLOSED_FORM_IDS)
+    def test_unreachable_tolerance_fails_fast(self, f, amb, kwargs, exact):
+        """rel_tol 1e-16 is below the roundoff of a box's tensor rule: the
+        cubature refines to its floor of 1e-13 relative and raises there,
+        after a few bulk steps (one integrand call each), with the best
+        estimate of the whole integral, which is within its own error
+        estimate of the closed form."""
+        calls = 0
+
+        def counted(c, s, rhos):
+            nonlocal calls
+            calls += 1
+            return f(c, s, rhos)
+
+        cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300)
+        with pytest.raises(QuadratureNonConvergence, match="floor") as exc:
+            integrate_axisymmetric(counted, amb, cfg, **kwargs)
+        assert calls <= 40
+        best = exc.value.best
+        assert abs(best.value - exact) <= best.error_estimate
+
+    def test_bisects_along_the_worse_direction(self):
+        """A box integrand that varies along y only has no x estimate, so
+        every bisection is along y: the cubature refines the panels of the
+        one-dimensional rule, each 15 times over."""
+        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300)
+
+        def peak(ys):
+            return 1.0 / (1e-3 + (ys - 0.3) ** 2)
+
+        line = quadrature._integrate_boxes(
+            quadrature._evaluate, lambda ks, xs: peak(xs), [0], [[0.0]], [[1.0]], cfg
+        )
+        box = quadrature._integrate_boxes(
+            quadrature._evaluate_boxes,
+            lambda ks, xs, ys: np.broadcast_to(peak(ys)[:, None, :], (len(ks), 15, 15)),
+            [0], [[0.0, 0.0]], [[1.0, 1.0]], cfg,
+        )
+        assert box.evaluations == 15 * line.evaluations > 15 * 15
+        assert box.value == pytest.approx(line.value, rel=1e-14, abs=0.0)
+
+    def test_panel_budget_holds_for_boxes(self, monkeypatch):
+        """At an unreachable tolerance a cubature stops once it holds
+        _MAX_PANELS boxes.  Each bulk step at most doubles the boxes, so by
+        then it has evaluated at least its budget and less than four times
+        it."""
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 100)
-        n, budget = 30, 200
         nodes = 0
 
-        def g(rows, segs, xs):
+        def g(ks, xs, ys):
             nonlocal nodes
-            nodes += xs.size
-            return np.exp(-(rows[:, None] + 1.0) * xs) * np.cos(30.0 * xs)
+            nodes += xs.size * ys.shape[1]
+            return np.cos(30.0 * xs)[:, :, None] * np.cos(30.0 * ys)[:, None, :]
 
         cfg = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300)
-        segments = [(0.0, 0.5), (0.5, 1.0)]
         with pytest.raises(QuadratureNonConvergence, match="panel limit") as exc:
-            quadrature._integrate_segments(g, segments, cfg, n)
+            quadrature._integrate_boxes(
+                quadrature._evaluate_boxes, g, [0, 0], [[0.0, 0.0], [0.5, 0.0]],
+                [[0.5, 1.0], [1.0, 1.0]], cfg,
+            )
         assert isinstance(exc.value.best, QuadratureResult)
-        assert 15 * budget <= nodes < 4 * 15 * budget
+        assert 225 * 100 <= nodes < 4 * 225 * 100
 
 
 class TestDeterminism:
