@@ -239,6 +239,10 @@ _STIRLING_FROM = 10.0
 _TERM_TOL = 2.0**-60
 # Powers of the argument formed per call; the giant steps take the rest.
 _BABY_STEPS = 16
+# The derivative rows sum the near series down to w = _FAR_DERIVS: just
+# under w = 1/2 the far series would cost F'' up to 1.4e-10 relative at
+# d = 12 (its coefficients carry the rounding error of delta), 2e-11 here.
+_FAR_DERIVS = 0.4
 
 
 def _log1p_slope(x: float, eps: float) -> float:
@@ -263,25 +267,44 @@ def _lgamma_slope(x: float, eps: float) -> float:
     return val - shift
 
 
+def _near_series(A: float, B: float, C: float, reach: float) -> list:
+    """Maclaurin coefficients of 2F1(A, B; C; x) up to the first one that,
+    times reach^k, is below _TERM_TOL while the coefficients fall by a ratio
+    under 3/2: for |x| <= reach <= 0.6 the rest is below 10 _TERM_TOL
+    against a sum of at least 1."""
+    near = [1.0]
+    r = A * B / C
+    while near[-1] * reach ** (len(near) - 1) >= _TERM_TOL or r >= 1.5:
+        k = len(near)
+        near.append(near[-1] * r)
+        r = (A + k) * (B + k) / ((C + k) * (k + 1))
+    return near
+
+
+def _block_table(series: list) -> np.ndarray:
+    """Coefficient lists as one table whose row n b + j, n = len(series),
+    holds the coefficients _BABY_STEPS b, ..., _BABY_STEPS (b + 1) - 1 of
+    series j."""
+    blocks = -(-max(map(len, series)) // _BABY_STEPS)
+    table = np.zeros((len(series), blocks * _BABY_STEPS))
+    for row, coeffs in zip(table, series):
+        row[: len(coeffs)] = coeffs
+    table = table.reshape(len(series), blocks, _BABY_STEPS).transpose(1, 0, 2)
+    return np.ascontiguousarray(table.reshape(-1, _BABY_STEPS))
+
+
 @lru_cache(maxsize=None)
-def _kernel_series(amb: Ambient) -> tuple[float, np.ndarray]:
+def _kernel_series(amb: Ambient) -> tuple[float, np.ndarray, np.ndarray]:
     """The series that _pair_kernel sums for one ambient: eps = s - m in
     [-1/4, 3/4) with m an integer (so P stays finite for every float w > 0),
-    and the coefficient table whose row 3b + j holds the coefficients
-    _BABY_STEPS b, ..., _BABY_STEPS (b + 1) - 1 of series j (0: the near
-    series, 1: S_a, 2: S_b; see _pair_kernel)."""
+    the _block_table of the near series, S_a and S_b (see _pair_kernel), and
+    that of their T and T^2 for the derivative rows."""
     a = amb.beta_exp
     A, B, C = 0.5 * a, 0.5 * a + 0.5, 0.5 * amb.d + 0.5
     m = math.floor(amb.s + 0.25)
     eps = amb.s - m
     lg = math.lgamma
-
-    near = [1.0]
-    r = A * B / C
-    while near[-1] * 0.5 ** (len(near) - 1) >= _TERM_TOL or r >= 1.5:
-        k = len(near)
-        near.append(near[-1] * r)
-        r = (A + k) * (B + k) / ((C + k) * (k + 1))
+    near = _near_series(A, B, C, 0.5)
 
     # Below w^m: the regular part of the connection formula.
     far_a = [0.0] * m
@@ -320,12 +343,16 @@ def _kernel_series(amb: Ambient) -> tuple[float, np.ndarray]:
         c *= r
         j += 1
 
-    blocks = -(-max(len(near), len(far_a)) // _BABY_STEPS)
-    table = np.zeros((3, blocks * _BABY_STEPS))
-    for row, coeffs in zip(table, (near, far_a, far_b)):
-        row[: len(coeffs)] = coeffs
-    table = table.reshape(3, blocks, _BABY_STEPS).transpose(1, 0, 2)
-    return eps, np.ascontiguousarray(table.reshape(3 * blocks, _BABY_STEPS))
+    # T = w d/dw + A term by term: the coefficient of w^k gains the factor
+    # k + A; the near series, in 1 - w, turns into (k + A) c_k - (k+1) c_(k+1).
+    series = [_near_series(A, B, C, 1.0 - _FAR_DERIVS), far_a, far_b]
+    for _ in range(2):
+        nc = series[-3] + [0.0]
+        series.append(
+            [(k + A) * nc[k] - (k + 1) * nc[k + 1] for k in range(len(nc) - 1)]
+        )
+        series += [[(k + A) * ck for k, ck in enumerate(s)] for s in series[-3:-1]]
+    return eps, _block_table([near, far_a, far_b]), _block_table(series[3:])
 
 
 def _powers(x: np.ndarray, k: int) -> np.ndarray:
@@ -343,7 +370,20 @@ def _powers(x: np.ndarray, k: int) -> np.ndarray:
     return p
 
 
-def _pair_kernel(amb: Ambient, e) -> np.ndarray:
+def _sum_series(table: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """The n power series of a _block_table at the 1-D array x: baby steps
+    by one matrix product, giant steps by Horner's rule."""
+    powers = _powers(x, _BABY_STEPS)
+    terms = (table @ powers).reshape(-1, n, x.size)
+    v = terms[-1]
+    giant = powers[-1] * x
+    for block in terms[-2::-1]:
+        v *= giant
+        v += block
+    return v
+
+
+def _pair_kernel(amb: Ambient, e, derivs: bool = False) -> np.ndarray:
     """Normalized two-bubble pairing F = (B_{x1,l1}, B_{x2,l2}^(2*-1)) at
     conformal invariant e = t + 1/t - 2 >= 0 (see _conformal_invariant),
     vectorized over e; F = 0 at e = inf.
@@ -365,27 +405,38 @@ def _pair_kernel(amb: Ambient, e) -> np.ndarray:
     give the far value S_a(w) - P S_b(w), P = expm1(eps log w)/eps, two
     power series whose accuracy does not depend on eps; at eps = 0 this is
     the logarithmic case DLMF 15.8.10.  The coefficients depend on the
-    ambient only (_kernel_series); a call sums all three series at once,
-    baby steps by matrix products and giant steps by Horner's rule.
+    ambient only (_kernel_series); a call sums all three series at once.
+
+    With derivs, the rows F, dF/de and d^2F/de^2.  As dw/de = -sech^3 and
+    d^2w/de^2 = 1.5 sech^4, d/de = -sech theta with theta = w d/dw, and
+    theta F = w^A T f, theta^2 F = w^A T^2 f for F = w^A f, T = theta + A.
+    The series of T f and T^2 f are those of f differentiated term by term
+    (DLMF 15.5.1), with the near series summed down to w = _FAR_DERIVS.
     """
-    eps, table = _kernel_series(amb)
+    eps, table, dtable = _kernel_series(amb)
     e = np.asarray(e, dtype=float)
     sech = (2.0 / (2.0 + e)).ravel()  # 0 at e = inf
     w = sech * sech
-    x = np.minimum(w, 1.0 - w)
-    powers = _powers(x, _BABY_STEPS)
-    terms = (table @ powers).reshape(-1, 3, x.size)
-    v = terms[-1]
-    giant = powers[-1] * x
-    for block in terms[-2::-1]:
-        v *= giant
-        v += block
+    v = _sum_series(table, np.minimum(w, 1.0 - w), 3)
     # At e = inf, where sech^a = 0, log w is clipped to its value at the
     # largest finite e.
     log_w = 2.0 * np.log(np.maximum(sech, 2.0 / sys.float_info.max))
     p = np.expm1(eps * log_w) / eps if eps else log_w
     f = np.where(w > 0.5, v[0], v[1] - p * v[2])
-    return (sech**amb.beta_exp * f).reshape(e.shape)
+    power = sech**amb.beta_exp
+    if not derivs:
+        return (power * f).reshape(e.shape)
+    # far, T (P g) = w^eps g + P T g, as theta P = w^eps = 1 + eps P
+    near = w > _FAR_DERIVS
+    dv = _sum_series(dtable, np.where(near, 1.0 - w, w), 6)
+    w_eps = 1.0 + eps * p
+    tf = np.where(near, dv[0], dv[1] - p * dv[2] - w_eps * v[2])
+    ttf = np.where(
+        near, dv[3], dv[4] - p * dv[5] - w_eps * (eps * v[2] + 2.0 * dv[2])
+    )
+    d1 = -sech * power  # dF/de = -sech w^A T f
+    d2 = -sech * d1 * (0.5 * tf + ttf)  # sech^2 w^A (T f / 2 + T^2 f)
+    return np.stack([power * f, d1 * tf, d2]).reshape((3,) + e.shape)
 
 
 def _pairings(
@@ -406,22 +457,46 @@ def _pairings(
 _PAIR_BLOCK = 1024
 
 
-def _pair_radial(amb: Ambient, axial: tuple, a, z) -> np.ndarray:
-    """Pairings (u, B_{a, e^z}^(2*-1)) = sum_i c_i F(t_i) of the bubbles
+def _pair_radial(
+    amb: Ambient, axial: tuple, a, z, derivs: bool = False
+) -> np.ndarray:
+    """Pairings P = (u, B_{a, e^z}^(2*-1)) = sum_i c_i F(e_i) of the bubbles
     axial = (coeffs, positions, scales) on one axis with the unit probes of
     axial position a and log scale z on that axis, vectorized over the
     broadcast shape of a and z.  This is the m-search objective; the
-    traced benchmark (bench/spans.py) counts its calls under this name."""
+    traced benchmark (bench/spans.py) counts its calls under this name.
+
+    With derivs, the rows P, P_b, P_z, P_bb, P_bz, P_zz, where b is the
+    axial offset in probe widths e^-z0 about the probe (a = a0 + b e^-z0)
+    and z its log scale.  They follow from F' and F'' of _pair_kernel by the
+    chain rule through e_i, with rho_i^2 = lambda_i e^-z and q_i the axial
+    leg of e_i (_conformal_invariant): e_b = -2 q rho, e_bb = 2 rho^2,
+    e_z = e + 2 - 2 rho^2 (= q^2 - p sqrt(p^2 + 4) in both legs),
+    e_zz = e + 2 and e_bz = e_b.
+    """
     coeffs, pos, lams = axial
     a, z = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(z, dtype=float))
     shape, a, z = a.shape, a.ravel(), z.ravel()
-    out = np.empty(a.size)
+    out = np.empty((6 if derivs else 1, a.size))
     step = max(1, _PAIR_BLOCK // len(coeffs))
     for k in range(0, a.size, step):
+        mu = np.exp(z[k : k + step])
         dist = pos[:, None] - a[k : k + step]
-        e, _ = _conformal_invariant(lams[:, None], np.exp(z[k : k + step]), dist)
-        out[k : k + step] = coeffs @ _pair_kernel(amb, e)
-    return out.reshape(shape)
+        e, (_, q) = _conformal_invariant(lams[:, None], mu, dist)
+        if not derivs:
+            out[0, k : k + step] = coeffs @ _pair_kernel(amb, e)
+            continue
+        f, f1, f2 = _pair_kernel(amb, e, derivs=True)
+        fin = np.isfinite(e)  # where e = inf, F' = F'' = 0 and q may be inf
+        r2 = lams[:, None] / mu  # rho^2
+        e_b = np.where(fin, -2.0 * q, 0.0) * np.sqrt(r2)
+        e_bb = 2.0 * r2
+        e_z = np.where(fin, e, 0.0) + 2.0 - e_bb
+        f1_bb, g = f1 * e_bb, f2 * e_z + f1  # as e_bz = e_b, e_zz = e_z + e_bb
+        rows = (f, f1 * e_b, f1 * e_z, f2 * e_b * e_b + f1_bb, g * e_b,
+                g * e_z + f1_bb)
+        out[:, k : k + step] = coeffs @ np.stack(rows)
+    return out.reshape((6,) + shape) if derivs else out.reshape(shape)
 
 
 def pair_against_bubble(u: Superposition, h: BubbleParam) -> float:

@@ -9,10 +9,12 @@ search; only ||f||_{2*} takes a quadrature.
 
 The m-search is heuristic-global (a fixed grid scan of the closed-form
 objective over (axial position, log scale), every grid peak polished by
-Newton steps); a certified global bound is out of scope.  For same-sign
-concentric superpositions the maximizer center provably coincides with the
-common center (symmetric-decreasing rearrangement), so there the grid is one
-column in log(scale).
+Newton steps on the objective's exact gradient and Hessian, which the
+pairing kernel's derivative rows give in closed form); a certified global
+bound is out of scope.  For same-sign concentric superpositions the
+maximizer center provably coincides with the common center
+(symmetric-decreasing rearrangement), so there the grid is one column in
+log(scale).
 """
 
 from __future__ import annotations
@@ -59,14 +61,15 @@ _TIE_TOL = 1e-10
 _Z_PER_UNIT = 3
 _AXIAL_PER_TERM = 25
 _AXIAL_REACH = 4.0
-# m-search polish: central-difference step (in log scale and in probe
-# widths), the step below which a peak counts as converged, and a step cap.
-_FD_STEP = 1e-5
-_POLISH_TOL = 1e-9
+# m-search polish: the step below which a start counts as converged (its
+# Newton step then leaves an error of order its square, below 2^-50), the
+# step below which a Newton step is not taken (an ulp of the probe width or
+# log scale), the roundoff in P^2 a step may lose and still be taken, and a
+# step cap.
+_POLISH_TOL = 2.0**-25
+_POLISH_ULP = 2.0**-52
+_ROUNDOFF = 2.0**-50
 _POLISH_ITERS = 60
-# Stencil offsets (axial, log scale), flattened from [b offset, z offset]
-# with offsets ordered (0, -1, +1).
-_DB, _DZ = np.array([(i, j) for i in (0, -1, 1) for j in (0, -1, 1)], float).T
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,80 +112,60 @@ def _grid_peaks(q: np.ndarray) -> np.ndarray:
 
 def _polish(
     amb, axial: tuple, a: np.ndarray, z: np.ndarray, rb: np.ndarray,
-    rz: np.ndarray, z_lo: float, z_hi: float,
+    rz: float, z_lo: float, z_hi: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton ascent of P(a, z)^2 from every start (a[k], z[k]) at once.
 
-    Gradient and Hessian come from a 3x3 central-difference stencil in
-    (b, z), b the axial offset in probe widths e^-z; the stencils of all
-    starts go into one objective call per step.  A step is clipped to the
-    trust box (rb, rz) and to [z_lo, z_hi], and accepted only if the value
-    does not decrease.  The box then doubles, up to its initial size;
-    after a rejection it shrinks to half the rejected step.  A start is
-    done once its step is below _POLISH_TOL.  Returns the polished points
-    and their values.
+    Every step evaluates P with its exact gradient and Hessian in (b, z), b
+    the axial offset in probe widths e^-z (_pair_radial), at the trial
+    points of all starts in one objective call.  A trial that lowers P^2 by
+    more than roundoff is rejected and its step halved.  Otherwise it
+    becomes the start's point, and its next step is Newton's where sign(P)
+    times the Hessian is negative definite, else uphill along the gradient;
+    either is shrunk whole into one grid cell (rb, rz), and z stays in
+    [z_lo, z_hi].  A start stops once its step is below _POLISH_TOL.  A
+    Newton step that small is still taken, unevaluated, as it leaves an
+    error of the order of its square, unless it is below _POLISH_ULP.
+    Returns the polished points and their values P^2.
     """
-    h = _FD_STEP
     q = np.full(len(a), -np.inf)
-    ta, tz = a.copy(), z.copy()  # trial points
-    rb0, rz0 = rb.copy(), rz.copy()
-    grad = np.zeros((len(a), 2))
-    hess = np.zeros((len(a), 3))  # (bb, zz, bz)
-    live = np.arange(len(a))
+    ta, tz, sb, sz = a, z, 0.0, 0.0  # trial points, their steps from (a, z)
+    done = np.zeros(len(a), dtype=bool)
     for _ in range(_POLISH_ITERS):
-        if not live.size:
-            break
-        w = np.exp(-tz[live, None])
-        qs = _pair_radial(
-            amb, axial, ta[live, None] + h * w * _DB, tz[live, None] + h * _DZ
-        )
-        qs = (qs * qs).reshape(-1, 3, 3)  # [k, b offset (0, -1, +1), z offset]
-        up = qs[:, 0, 0] >= q[live]
-        acc, rej = live[up], live[~up]
-        rb[rej] = 0.5 * np.abs(ta[rej] - a[rej]) * np.exp(z[rej])
-        rz[rej] = 0.5 * np.abs(tz[rej] - z[rej])
-        rb[acc] = np.minimum(2.0 * rb[acc], rb0[acc])
-        rz[acc] = np.minimum(2.0 * rz[acc], rz0[acc])
-        qa = qs[up]
-        a[acc], z[acc], q[acc] = ta[acc], tz[acc], qa[:, 0, 0]
-        grad[acc] = np.stack(
-            [qa[:, 2, 0] - qa[:, 1, 0], qa[:, 0, 2] - qa[:, 0, 1]], 1
-        ) / (2 * h)
-        hess[acc] = np.stack(
-            [
-                qa[:, 2, 0] - 2 * qa[:, 0, 0] + qa[:, 1, 0],
-                qa[:, 0, 2] - 2 * qa[:, 0, 0] + qa[:, 0, 1],
-                0.25 * (qa[:, 2, 2] - qa[:, 2, 1] - qa[:, 1, 2] + qa[:, 1, 1]),
-            ],
-            1,
-        ) / (h * h)
-
-        (gb, gz), (hbb, hzz, hbz) = grad[live].T, hess[live].T
-        rbl, rzl = rb[live], rz[live]
+        rows = _pair_radial(amb, axial, ta, tz, True)
+        p = rows[0]
+        up = p * p >= q * (1.0 - _ROUNDOFF)
+        a, z, q = np.where(up, ta, a), np.where(up, tz, z), np.where(up, p * p, q)
+        gb, gz, hbb, hbz, hzz = np.sign(p) * rows[1:]
         det = hbb * hzz - hbz * hbz
         newton = (hbb < 0) & (det > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            # Newton where the Hessian is negative definite, else a 1-D
-            # Newton step per coordinate, or the box edge uphill
-            db = np.where(
-                newton, (gz * hbz - gb * hzz) / det,
-                np.where(hbb < 0, -gb / hbb, np.copysign(np.inf, gb)),
-            )
-            dz = np.where(
-                newton, (gb * hbz - gz * hbb) / det,
-                np.where(hzz < 0, -gz / hzz, np.copysign(np.inf, gz)),
-            )
-            db[rbl == 0] = 0.0
-            # a Newton step is shrunk into the box whole, which keeps it an
-            # ascent direction; the per-coordinate steps are clipped
-            fit = np.fmin(1.0, np.fmin(rbl / np.abs(db), rzl / np.abs(dz)))
-        fit[~newton] = 1.0
-        db = np.clip(fit * db, -rbl, rbl)
-        ta[live] = a[live] + db * np.exp(-z[live])
-        tz[live] = np.clip(z[live] + np.clip(fit * dz, -rzl, rzl), z_lo, z_hi)
-        live = live[
-            (np.abs(db) > _POLISH_TOL) | (np.abs(tz[live] - z[live]) > _POLISH_TOL)
-        ]
+            db = (gz * hbz - gb * hzz) / det
+            dz = (gb * hbz - gz * hbb) / det
+            if not newton.all():
+                # Elsewhere the unit gradient, pushed one unit uphill along
+                # the axis where P is not concave in b: on the axis of a
+                # concentric u the axial slope vanishes by symmetry, and the
+                # gradient alone would stay at a saddle there.
+                gn = np.hypot(gb, gz)
+                push = ((hbb >= 0) & (rb > 0)) * np.copysign(1.0, gb)
+                db = np.where(newton, db, np.nan_to_num(gb / gn) + push)
+                dz = np.where(newton, dz, np.nan_to_num(gz / gn))
+            # the step's length in grid cells; rb = 0 freezes b
+            cells = np.fmax(np.abs(db) / rb, np.abs(dz) / rz)
+            fit = 1.0 / np.maximum(cells, newton)
+        sb = np.where(up, fit * db, 0.5 * sb)
+        sz = np.where(up, fit * dz, 0.5 * sz)
+        ta = a + sb * np.exp(-z)
+        tz = np.clip(z + sz, z_lo, z_hi)
+        size = np.fmax(np.abs(sb), np.abs(sz))
+        small = ~(size >= _POLISH_TOL)  # so is a NaN step: no ascent left
+        last = small & up & newton & (size >= _POLISH_ULP) & ~done
+        a, z = np.where(last, ta, a), np.where(last, tz, z)
+        done |= small
+        if done.all():
+            break
+        ta, tz = np.where(done, a, ta), np.where(done, z, tz)
     return a, z, q
 
 
@@ -197,8 +180,10 @@ def m_value(u: Superposition) -> MOptimum:
     alone, where symmetric-decreasing rearrangement puts the maximizer;
     otherwise _AXIAL_PER_TERM points over each center +- _AXIAL_REACH widths
     1/lambda_i and as many over the whole cloud.  Every positive grid point
-    that no neighbour exceeds is polished by trust-region Newton steps
-    (_polish).
+    that no neighbour exceeds is polished by Newton steps on the exact
+    derivatives (_polish).  The search runs in the frame dilated by the power
+    of two that centers the log2 scales on 0, so that no probe scale leaves
+    the float range; the maximizers are dilated back.
     all_local_maxima lists the polished peaks, those closer than
     _CLUSTER_TOL in both axial position (in probe widths) and log scale
     merged to the best.  No positive grid value means the terms of u
@@ -208,8 +193,11 @@ def m_value(u: Superposition) -> MOptimum:
     if geo is Geometry.GENERAL:
         raise GeometryError("m_value requires concentric or collinear centers")
     amb = u.ambient
+    # m is dilation invariant, and a dilation by 2^-shift is exact.
+    shift = round(sum(math.log2(t.scale) for t in u.terms) / len(u.terms))
     coeffs = np.array([t.coeff for t in u.terms])
-    lams = np.array([t.scale for t in u.terms])
+    lams = np.ldexp([t.scale for t in u.terms], -shift)
+    pos = np.ldexp(pos, shift)
     axial = (coeffs, pos, lams)
     lo = math.log(lams.min()) - _LOG_DOMAIN_PAD
     hi = math.log(lams.max()) + _LOG_DOMAIN_PAD
@@ -230,15 +218,13 @@ def m_value(u: Superposition) -> MOptimum:
             "the terms of u cancel: no probe bubble pairs with u, so m has "
             "no maximizer"
         )
-    # Trust box: one grid cell, and along the axis at least half a probe
-    # width, since a cell sized by the terms is tiny against a wide probe.
+    # A step spans at most one grid cell, and along the axis at least half a
+    # probe width, since a cell sized by the terms is tiny against a wide probe.
     gaps = np.diff(axis_pts, prepend=axis_pts[0], append=axis_pts[-1])
     cell = np.maximum(gaps[:-1], gaps[1:])[ia]
     z0 = zs[iz]
     rb = np.where(cell > 0, np.maximum(cell * np.exp(z0), 0.5), 0.0)
-    pa, pz, pv = _polish(
-        amb, axial, axis_pts[ia], z0, rb, np.full(len(ia), zs[1] - zs[0]), lo, hi
-    )
+    pa, pz, pv = _polish(amb, axial, axis_pts[ia], z0, rb, zs[1] - zs[0], lo, hi)
 
     merged: list[tuple[float, float, float]] = []
     for a, lm, v in sorted(zip(pa.tolist(), pz.tolist(), pv.tolist())):
@@ -253,7 +239,8 @@ def m_value(u: Superposition) -> MOptimum:
         else:
             merged.append((a, lm, v))
     bubbles = [
-        (BubbleParam(1.0, tuple(p0 + a * e), math.exp(lm)), v)
+        (BubbleParam(1.0, tuple(p0 + math.ldexp(a, -shift) * e),
+                     math.ldexp(math.exp(lm), shift)), v)
         for a, lm, v in merged
     ]
     bubbles.sort(key=lambda bv: (-bv[1], math.log(bv[0].scale)))

@@ -4,11 +4,17 @@ and the stability quotient."""
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
-from sobstab.bubbles import BubbleParam, Superposition, pair_against_bubble
+from sobstab.bubbles import (
+    BubbleParam,
+    Superposition,
+    _pair_radial,
+    pair_against_bubble,
+)
 from sobstab.constants import Ambient, sharp_constants
 from sobstab.errors import ParameterError
 from sobstab.functional import (
@@ -20,6 +26,8 @@ from sobstab.functional import (
     m_value,
     sobolev_quotient,
 )
+
+from kernel_oracle import kernel_mp
 
 AMB31 = Ambient(3, 1.0)
 ORIGIN3 = (0.0, 0.0, 0.0)
@@ -188,6 +196,27 @@ class TestCollinear:
         values = [v for _, v in rep.m.all_local_maxima]
         assert values == pytest.approx([1.0, 0.25], abs=1e-12)
 
+    @pytest.mark.parametrize("lam", [1e305, 1e-305])
+    def test_pair_past_exp_range_matches_unit_pair(self, lam):
+        """m, E and the maximizer are dilation invariant.  The pair
+        (1@0 lambda, 0.5@0 0.3 lambda) at log scales past 709, where
+        exp(log lambda + 12) is no float, reports what the unit pair
+        reports, with the maximizer scale times lambda, and warns of
+        nothing."""
+
+        def pair(scale):
+            return concentric(AMB31, (1.0, scale), (0.5, 0.3 * scale))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep, unit = functional_report(pair(lam)), functional_report(pair(1.0))
+        assert rep.m.value == pytest.approx(unit.m.value, rel=1e-12)
+        assert rep.be_quotient == pytest.approx(unit.be_quotient, abs=1e-12)
+        assert len(rep.m.all_local_maxima) == len(unit.m.all_local_maxima)
+        best = rep.m.maximizer
+        assert best.center == ORIGIN3
+        assert best.scale == pytest.approx(lam * unit.m.maximizer.scale, rel=1e-15)
+
     def test_dist_positive_for_separated_pair(self):
         u = Superposition(
             AMB31,
@@ -302,6 +331,108 @@ class TestSearchOracle:
                     for j in (-1, 0, 1):
                         q = _squared_pairing(u, x + i * 1e-4 / b.scale, z + j * 1e-4)
                         assert q <= v * (1.0 + 1e-12), (u, b, i, j)
+
+
+# (d, s, terms as (coeff, axial position, scale)).  The last is a d = 1 pair
+# whose final Newton steps gain less than the roundoff of P^2.
+_ARGMAX_CONFIGS = [
+    pytest.param(3, 1.0, [(1.0, 0.0, 1.0), (1.0, 0.0, 1e-3)], id="concentric"),
+    pytest.param(
+        3, 1.0, [(1.0, 0.0, 1.0), (-0.7, 0.0, 0.1)], id="signed-concentric"
+    ),
+    pytest.param(3, 1.0, [(1.0, 0.0, 1.0), (0.7, 2.0, 0.5)], id="collinear"),
+    pytest.param(
+        5, 1.0, [(1.0, 0.0, 1.0), (-0.6, 1.5, 0.4), (0.8, -2.0, 3.0)],
+        id="signed-triple",
+    ),
+    pytest.param(
+        1, 0.154,
+        [
+            (1.0, 2.95988781625858, 0.21063141028219334),
+            (-1.2474371030843816, 0.10244292770255026, 0.05795710349979648),
+        ],
+        id="flat-d1-pair",
+    ),
+]
+
+
+def _objective_mp(mp, terms, d, s, x, z):
+    """P = sum c_i F(e_i) of unit probes at axial position x and log scale
+    z, with its gradient and Hessian in (x, z), at mpmath's precision."""
+    mu = mp.exp(z)
+    p, g, h = 0, mp.matrix(2, 1), mp.matrix(2, 2)
+    for c, xc, lam in terms:
+        lm, r, dx = lam * mu, lam / mu, xc - x
+        f0, f1, f2 = kernel_mp(mp, r + 1 / r - 2 + lm * dx**2, d, s)
+        de = mp.matrix([-2 * lm * dx, lm * dx**2 - r + 1 / r])
+        dde = mp.matrix(
+            [[2 * lm, -2 * lm * dx], [-2 * lm * dx, lm * dx**2 + r + 1 / r]]
+        )
+        p, g, h = p + c * f0, g + c * f1 * de, h + c * (f2 * de * de.T + f1 * dde)
+    return p, g, h
+
+
+class TestMaximizerOracle:
+    @pytest.mark.parametrize("d, s, terms", _ARGMAX_CONFIGS[2:])
+    def test_objective_derivatives_match_mpmath(self, d, s, terms):
+        """The derivative rows of the m-search objective against the 30-digit
+        chain rule in (x, z): P_b = P_x e^-z, P_bb = P_xx e^-2z and
+        P_bz = P_xz e^-z, the probe width frozen in b."""
+        mp = pytest.importorskip("mpmath")
+        axial = tuple(np.array(col) for col in zip(*terms))
+        probes = [
+            (x + dx, math.log(lam) + dz)
+            for _, x, lam in terms
+            for dx, dz in ((0.3, -0.2), (-1.1, 0.7))
+        ]
+        rows = _pair_radial(Ambient(d, s), axial, *np.array(probes).T, True)
+        with mp.workdps(30):
+            for k, (x, z) in enumerate(probes):
+                p, g, h = _objective_mp(mp, terms, d, s, mp.mpf(x), mp.mpf(z))
+                w = mp.exp(-z)
+                ref = (p, g[0] * w, g[1], h[0, 0] * w * w, h[0, 1] * w, h[1, 1])
+                for got, want in zip(rows[:, k], ref):
+                    assert abs(got - want) <= 1e-10 * max(1, abs(want)), (k, got)
+
+    @pytest.mark.parametrize("d, s, terms", _ARGMAX_CONFIGS)
+    def test_maximizer_matches_mpmath_argmax(self, d, s, terms):
+        """The maximizer is within 1e-12 of Newton's method on the 30-digit
+        objective P(x, z) = sum c_i F(e_i), started from it: its center in
+        probe widths and its scale relative."""
+        mp = pytest.importorskip("mpmath")
+        u = Superposition(
+            Ambient(d, s),
+            tuple(BubbleParam(c, (x,) + (0.0,) * (d - 1), lam) for c, x, lam in terms),
+        )
+        best = m_value(u).maximizer
+        with mp.workdps(30):
+            x, z = mp.mpf(best.center[0]), mp.log(best.scale)
+            for _ in range(4):
+                _, g, h = _objective_mp(mp, terms, d, s, x, z)
+                dx, dz = -(h**-1) * g
+                x, z = x + dx, z + dz
+            assert abs(dx) * mp.exp(z) + abs(dz) < 1e-25
+            assert abs(best.center[0] - x) * mp.exp(z) <= 1e-12
+            assert abs(best.scale / mp.exp(z) - 1) <= 1e-12
+
+
+class TestSaddles:
+    def test_symmetric_saddle_is_no_local_maximum(self):
+        """A signed concentric triple whose objective has a saddle on the
+        axis, where the axial slope vanishes by symmetry: a grid point on
+        the axis must not be reported as a local maximum there."""
+        u = concentric(
+            Ambient(3, 0.727),
+            (1.0, 0.25507571572368337),
+            (0.9536071540432498, 7.686536630148398),
+            (-1.46346285376939, 1.1126549572064293),
+        )
+        maxima = m_value(u).all_local_maxima
+        assert len(maxima) == 4
+        for b, v in maxima:
+            x, z = b.center[0], math.log(b.scale)
+            for dx in (-1e-3, 1e-3):
+                assert _squared_pairing(u, x + dx / b.scale, z) <= v * (1 + 1e-12)
 
 
 class TestIdentities:

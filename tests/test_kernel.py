@@ -17,7 +17,9 @@ from sobstab.bubbles import (
     hs_norm_sq,
     pair_against_bubble,
 )
-from sobstab.constants import Ambient
+from sobstab.constants import Ambient, sharp_constants
+
+from kernel_oracle import kernel_mp
 
 mp = pytest.importorskip("mpmath")
 
@@ -186,3 +188,61 @@ def test_pair_against_bubble_matches_oracle(d, s, terms):
             for c, x, lam in terms
         )
     assert float(abs(got - ref) / abs(ref)) <= 1e-12
+
+
+def _derivs_ref(e, d, s):
+    """dF/de and d^2F/de^2 at e at 40 digits (kernel_oracle.kernel_mp).  It
+    is ten times faster than mpmath.diff, which it matches
+    (test_derivative_reference_is_mpmath_diff)."""
+    with mp.workdps(DPS):
+        return kernel_mp(mp, mp.mpf(e), d, s)[1:]
+
+
+# Every second decade of e, the switch between the near and far series of
+# the values (w = sech^2 = 1/2, e = 2 sqrt 2 - 2) and that of the derivative
+# rows (w = 0.4), where their errors are largest.
+E_DERIVS = np.concatenate(
+    [np.geomspace(1e-12, 1e12, 13), [2 * math.sqrt(2) - 2, 2 / math.sqrt(0.4) - 2]]
+)
+
+
+@pytest.mark.parametrize("d, s", AMBIENTS)
+def test_derivative_rows_match_mpmath(d, s):
+    _, d1, d2 = _pair_kernel(Ambient(d, s), E_DERIVS, derivs=True)
+    for e, g1, g2 in zip(E_DERIVS, d1, d2):
+        r1, r2 = _derivs_ref(e, d, s)
+        assert abs(g1 - r1) <= 1e-10 * abs(r1) + 1e-15, (e, g1, float(r1))
+        assert abs(g2 - r2) <= 1e-10 * abs(r2) + 1e-15, (e, g2, float(r2))
+
+
+def test_derivative_reference_is_mpmath_diff():
+    with mp.workdps(DPS):
+        a = mp.mpf(5.5) / 2
+
+        def f_of_e(x):
+            t = 1 + (x + mp.sqrt(x * (x + 4))) / 2
+            return t**a * mp.hyp2f1(a, 3, 6, 1 - t * t)
+
+        for e in (1e-6, 0.5, 3.0, 1e4):
+            for n, ref in zip((1, 2), _derivs_ref(e, 6, 0.25)):
+                assert abs(mp.diff(f_of_e, mp.mpf(e), n) / ref - 1) < 1e-20
+
+
+@pytest.mark.parametrize("d, s", AMBIENTS)
+def test_slope_at_coincidence_is_closed_form(d, s):
+    """dF/de at e = 0 is F''(t = 1)/2 = radial_slice_factor * a_d / 2."""
+    cst = sharp_constants(Ambient(d, s))
+    slope = _pair_kernel(Ambient(d, s), 0.0, derivs=True)[1]
+    assert slope == pytest.approx(cst.radial_slice_factor * cst.a_d / 2, abs=1e-14)
+
+
+@pytest.mark.parametrize("d, s", AMBIENTS)
+def test_value_row_of_derivative_call_is_the_plain_value(d, s):
+    es = np.concatenate(
+        [[0.0, math.inf], np.geomspace(1e-300, 1e300, 121), np.linspace(0.8, 1.2, 41)]
+    ).reshape(2, -1)
+    amb = Ambient(d, s)
+    rows = _pair_kernel(amb, es, derivs=True)
+    assert rows.shape == (3,) + es.shape
+    assert np.array_equal(rows[0], _pair_kernel(amb, es))
+    assert np.all(rows[1:, 0, 1] == 0.0)  # e = inf
