@@ -12,8 +12,9 @@ Exit codes: 0 on success; 2 on validation errors (bad parameters, including
 an invalid sweep-grid value, malformed or mis-shaped input JSON, unsupported
 geometry, an unwritable --out path), with nothing written to stdout; 3 on
 quadrature non-convergence, in which case the document written holds the
-provenance, marked ``certified: false``, and the error message (sweep-grid
-writes its other rows and marks the failed ones).
+provenance, marked ``certified: false``, the error message and the failed
+integral's best estimate (sweep-grid writes its other rows and marks the
+failed ones).
 """
 
 from __future__ import annotations
@@ -126,11 +127,15 @@ def _emit_nonconvergence(
     exc: QuadratureNonConvergence, amb: Ambient, cfg: QuadratureConfig,
     out: str | None,
 ) -> int:
-    """Write the uncertified error document of a failed quadrature; exit 3."""
+    """Write the uncertified error document of a failed quadrature, with
+    the failed integral's best estimate; exit 3."""
     doc = {
         "provenance": _provenance(amb, cfg, certified=False),
         "error": f"{type(exc).__name__}: {exc}",
     }
+    if exc.best is not None:
+        note = "value is the raw integral that failed, not the norm"
+        doc["best"] = dict(vars(exc.best), certified=False, note=note)
     _emit(_json_doc(doc), out)
     return 3
 

@@ -14,10 +14,12 @@ the axis midway between its centers and compactifies each half-cell the same
 way from its own center, so each bubble is resolved however far the others.
 Each axial segment is a cell of one map (_axial_map): a compactified tail
 or, between the real line's knots, the identity.  For d >= 2 its integral is
-one adaptive cubature over boxes, axial cell times radial panel (Genz and
-Malik, J. Comput. Appl. Math. 6, 1980, for the tensor rule): a box carries
-one error estimate per direction and is bisected along the worse one
-(Berntsen, Espelid and Genz, ACM TOMS 17, 1991).
+one adaptive cubature over boxes, axial cell times radial panel or, in the
+two unbounded half-cells, compactified radius times angle about their
+centers, so that the far field decays along one side of a box instead of
+into a corner (Genz and Malik, J. Comput. Appl. Math. 6, 1980, for the
+tensor rule): a box carries one error estimate per direction and is
+bisected along the worse one (Berntsen, Espelid and Genz, ACM TOMS 17, 1991).
 
 Half-line and real-line integrands are numpy-vectorized: each call receives
 a 1-D ndarray of nodes and must return an array of the same shape.
@@ -442,14 +444,17 @@ def integrate_axisymmetric(
 
     At d = 1 the axis is one adaptive integral, and f must broadcast centers
     of shape (m, 1) and offsets and radii of shape (m, 15) to shape (m, 15).
-    For d >= 2 the whole integral is one adaptive cubature over boxes, axial
-    panel times radial panel, on the 15 x 15 Kronrod grid, and f must
-    broadcast centers of shape (m, 1, 1), offsets of shape (m, 15, 1) and
-    radii of shape (m, 1, 15) to shape (m, 15, 15).  The cubature refines
-    until its error estimate meets a hundredth of the tolerance
-    max(rel_tol*|value|, abs_tol) on the value returned, or 1e-13 relative
-    if that is larger (_BOX_FLOOR), and raises QuadratureNonConvergence,
-    with that estimate as its best, if it then misses the tolerance itself.
+    For d >= 2 the whole integral is one adaptive cubature over boxes on the
+    15 x 15 Kronrod grid, and f must broadcast centers of shape (m, 1, 1),
+    offsets of shape (m, 15, 1) and radii of shape (m, 1, 15) (axial panel
+    times radial panel) to shape (m, 15, 15).  Beyond the outermost centers
+    the boxes are polar about them instead (see _boxes), and f gets offsets
+    and radii of shape (m, 15, 15); one call of f holds boxes of one kind.
+    The cubature refines until its error estimate meets a hundredth of the
+    tolerance max(rel_tol*|value|, abs_tol) on the value returned, or 1e-13
+    relative if that is larger (_BOX_FLOOR), and raises
+    QuadratureNonConvergence, with that estimate as its best, if it then
+    misses the tolerance itself.
     """
     xs = [float(x) for x in centers]
     ws = [1.0] * len(xs) if widths is None else [float(r) for r in widths]
@@ -479,25 +484,51 @@ def integrate_axisymmetric(
     return res
 
 
+# A polar tail box's angle theta = (pi/2) u starts from this many panels.
+_ANGULAR_PANELS = 2
+
+
 def _boxes(f: Callable, d: int, cells: list[tuple], ws: list[float]) -> tuple:
     """The integrand g(ks, ts, us) of integrate_axisymmetric in R^d on its
-    boxes, axial cell ks times radial panel, angular factor included, and
-    the boxes' segments and corners."""
+    boxes, angular factor included, and the boxes' segments and corners: a
+    finite half-cell's box is axial cell times radial panel, an infinite
+    one's (kappa = 1) radius r = h t/(1-t) times angle theta = (pi/2) u
+    about its center, at offset r cos(theta) and distance r sin(theta).
+    There the far field |x|^-2d is r^-2d times a smooth function of theta,
+    and the center's own bubble a function of r alone."""
     point = _axial_map(cells)
+    is_polar = np.array([cell[3] == 1.0 for cell in cells])
     area = sphere_area(d - 1)
     radial_knots = _ladder(sorted({k * r for r in ws for k in (0.25, 1.0, 4.0)}))
     radial = [(a, b) for *_, a, b in _tail_cells([(0.0, 1.0, math.inf, radial_knots)])]
+    edges = np.linspace(0.0, 1.0, _ANGULAR_PANELS + 1).tolist()
+    panels = [list(zip(edges, edges[1:])) if p else radial for p in is_polar]
+
+    # Each chart is a function of t (rows c, s, jt) times one of u (us).
+    def cartesian(c, s, jt, us):
+        qr = 1.0 - us
+        rho = us / qr
+        vals = f(c[:, :, None], s[:, :, None], rho[:, None, :])
+        return vals * (jt[:, :, None] * (rho ** (d - 2) / (qr * qr))[:, None, :])
+
+    def polar(c, s, jt, us):
+        theta = 0.5 * math.pi * us
+        r, sin = np.abs(s), np.sin(theta)
+        offset = s[:, :, None] * np.cos(theta)[:, None, :]
+        vals = f(c[:, :, None], offset, r[:, :, None] * sin[:, None, :])
+        jr = 0.5 * math.pi * jt * r ** (d - 1)
+        return vals * (jr[:, :, None] * (sin ** (d - 2))[:, None, :])
 
     def g(ks: np.ndarray, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
         c, s, q, h = point(ks, ts)
-        qr = 1.0 - us
-        rho = us / qr
-        jx = h / (q * q)
-        jr = area * rho ** (d - 2) / (qr * qr)
-        vals = f(c[:, :, None], s[:, :, None], rho[:, None, :])
-        return vals * jx[:, :, None] * jr[:, None, :]
+        jt = area * h / (q * q)
+        out = np.empty((len(ks), len(_NODES), len(_NODES)))
+        for chart, rows in ((cartesian, ~is_polar[ks]), (polar, is_polar[ks])):
+            if rows.any():
+                out[rows] = chart(c[rows], s[rows], jt[rows], us[rows])
+        return out
 
-    ks = [k for k in range(len(cells)) for _ in radial]
-    lo = [(cell[4], a) for cell in cells for a, _ in radial]
-    hi = [(cell[5], b) for cell in cells for _, b in radial]
+    ks = [k for k, ps in enumerate(panels) for _ in ps]
+    lo = [(cell[4], a) for cell, ps in zip(cells, panels) for a, _ in ps]
+    hi = [(cell[5], b) for cell, ps in zip(cells, panels) for _, b in ps]
     return g, ks, lo, hi

@@ -832,6 +832,108 @@ class TestLpNorm:
         assert lp_norm(u) == pytest.approx(expected, rel=1e-10)
 
 
+def axis_terms(d, terms):
+    """The s = 1 superposition of (coeff, axial position, scale) terms on
+    the first axis of R^d."""
+    return Superposition(
+        Ambient(d, 1.0),
+        tuple(BubbleParam(c, (x,) + (0.0,) * (d - 1), lam) for c, x, lam in terms),
+    )
+
+
+# The CLI's standard d = 3 triple, and report-collinear's d = 5 triple
+# (bench/workloads.py, design seed 0).
+STANDARD_TRIPLE = [(1.0, 0.0, 1.0), (-0.5, 2.0, 0.5), (0.3, -1.0, 2.0)]
+REPORT_TRIPLE = [
+    (0.7643039288192464, 2.4780663194273895, 25.10840373285205),
+    (-0.6967916424612104, 2.191859566629841, 0.1911951762986252),
+    (0.8739937925297406, 0.29219582301353597, 0.034843766963003044),
+]
+# A d = 3 triple whose scales lie 3e10 apart, and its norm by mpmath at 20
+# digits, 0.7056927163764023831: nested mp.quad in (x, rho), split along the
+# axis on ratio-4 ladders about each center (out to 6.4e10) and in rho on a
+# ratio-4 ladder between the terms' turnover radii
+# sqrt((x - x_i)^2 + lambda_i^-2), a sixteenth of the least to 16 times the
+# largest (14 CPU minutes).
+WIDE_TRIPLE = [(0.6955, 1.5714, 1e-9), (-0.4925, -2.333, 22.0), (0.4173, -2.8812, 31.9)]
+WIDE_NORM = 0.7056927163764024
+
+
+def _inverted(terms, p):
+    """The terms mapped by the inversion x -> (x - p)/|x - p|^2 of R^d, a
+    conformal map that keeps ||u||_{2*}: the bubble at x of scale lam goes
+    to the bubble at lam^2 (x - p)/A of scale A/lam, A = 1 + lam^2 |x - p|^2,
+    with the same coefficient."""
+    out = []
+    for c, x, lam in terms:
+        a = 1.0 + (lam * (x - p)) ** 2
+        out.append((c, lam * lam * (x - p) / a, a / lam))
+    return out
+
+
+class TestPolarTails:
+    """Three or more collinear terms integrate in one box cubature whose two
+    unbounded half-cells are polar about their own centers."""
+
+    @pytest.mark.parametrize(
+        "d, terms, most",
+        [(3, STANDARD_TRIPLE, 90), (5, REPORT_TRIPLE, 640), (3, WIDE_TRIPLE, 1766)],
+        ids=["standard-d3", "report-d5", "wide-d3"],
+    )
+    def test_box_counts(self, d, terms, most, monkeypatch):
+        """Box counts are deterministic.  With Cartesian tails the first two
+        took 188 and 1629 boxes, and the wide triple stopped at the panel
+        limit after 48 176."""
+        from sobstab import quadrature
+
+        evaluate = quadrature._evaluate_boxes
+        boxes = 0
+
+        def counted(g, ks, lo, hi):
+            nonlocal boxes
+            boxes += len(ks)
+            return evaluate(g, ks, lo, hi)
+
+        monkeypatch.setattr(quadrature, "_evaluate_boxes", counted)
+        lp_norm(axis_terms(d, terms))
+        assert 0 < boxes <= most
+
+    def test_wide_triple_converges_at_default_tolerance(self):
+        """The far field of the scale-1e-9 bubble is r^-2d times a smooth
+        function of the angle in the polar tails, so the cubature meets the
+        default tolerance, 7e-12 off the mpmath value; with Cartesian tails
+        it ended at the panel limit (estimate 3.2e-13 against 1.2e-13)."""
+        assert lp_norm(axis_terms(3, WIDE_TRIPLE)) == pytest.approx(
+            WIDE_NORM, rel=1e-10, abs=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "image",
+        [
+            *(("dilate", mu) for mu in (3.0, 0.1, 7.0, 1e-5 / 3, 1e7 / 3)),
+            *(("translate", a) for a in (0.7, -5.3, 1e3 / 7, 1e6 / 3)),
+            *(("invert", p) for p in (0.0, -2.6, 10.0)),
+        ],
+        ids=lambda image: f"{image[0]}-{image[1]:.4g}",
+    )
+    def test_wide_triple_is_conformally_invariant(self, image):
+        """||u||_{2*} is invariant under dilations by factors that are not
+        powers of two (which lp_norm's frame would undo exactly),
+        translations, and inversions about points of the axis, which swap
+        the scale-1e-9 bubble for one of scale 1e9.  Every image lands
+        within 1e-10 of the triple's own value."""
+        kind, k = image
+        if kind == "dilate":
+            terms = [(c, x / k, lam * k) for c, x, lam in WIDE_TRIPLE]
+        elif kind == "translate":
+            terms = [(c, x + k, lam) for c, x, lam in WIDE_TRIPLE]
+        else:
+            terms = _inverted(WIDE_TRIPLE, k)
+        assert lp_norm(axis_terms(3, terms)) == pytest.approx(
+            lp_norm(axis_terms(3, WIDE_TRIPLE)), rel=1e-10, abs=0.0
+        )
+
+
 def scaled_pair(lam, sep=0.0):
     """(1 at 0, lambda lam) and (0.5 at sep/lam e_1, lambda 0.3 lam): the
     dilation by lam of the pair at lam = 1, which every quantity ignores."""

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -306,7 +307,11 @@ class TestEval:
     ):
         """A collinear pair integrates radially, at its conformal ratio; a
         triple is one cubature over (axial, radial) boxes, which refines to
-        its floor of 1e-13 relative and must end the run there."""
+        its floor of 1e-13 relative and must end the run there.  The
+        document keeps the failed integral's best estimate, uncertified: the
+        raw integral, which for the triple is int |u|^(2*) over R^3 and for
+        the pair's radial integral that divided by |S^2| = 4 pi."""
+        u = sobstab.superposition_from_dict(doc)
         cfgp = write_config(tmp_path, doc)
         rc, out, err = run(
             capsys, "eval", "--config", cfgp,
@@ -316,6 +321,15 @@ class TestEval:
         doc = json.loads(out)
         assert doc["provenance"]["certified"] is False
         assert doc["error"].startswith("QuadratureNonConvergence")
+        best = doc["best"]
+        assert set(best) == {"certified", "error_estimate", "evaluations", "note", "value"}
+        assert best["certified"] is False
+        assert best["note"] == "value is the raw integral that failed, not the norm"
+        assert isinstance(best["evaluations"], int) and best["evaluations"] > 0
+        assert 0.0 < best["error_estimate"] < 1e-12 * best["value"]
+        area = 1.0 if len(u.terms) > 2 else 4.0 * math.pi
+        mass = sobstab.lp_norm(u) ** AMB31.two_star
+        assert best["value"] * area == pytest.approx(mass, rel=1e-10, abs=0.0)
 
 
 class TestDist:

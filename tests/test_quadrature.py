@@ -322,16 +322,20 @@ class TestAxisymmetric:
 
     def test_nonfinite_integrand_rejected_in_batch(self):
         """A non-finite value among the boxes one step evaluates names the
-        first box that produced one: the first axial cell, [0, 0.5], times
-        the radial panel [0.5, 0.8], the images of one and of four default
-        unit widths."""
+        first box that produced one.  One center makes both half-cells
+        infinite tails, so every box is polar about it: radius t in [0, 0.5]
+        and [0.5, 1] (r = t/(1-t) breaks at the default unit width), times
+        angle u in [0, 0.5] and [0.5, 1], the left tail first.  The boxes
+        with t <= 0.5 have r <= 1, so rho <= 1; the first with rho > 2 at a
+        node is the left tail's [0.5, 1] x [0, 0.5], whose radii run to
+        about 470."""
 
         def f(c, s, rhos):
             return np.where(rhos > 2.0, np.nan, np.exp(-((c + s) ** 2 + rhos * rhos)))
 
         with pytest.raises(
             ParameterError,
-            match=r"non-finite value on panel \[0\.0, 0\.5\] x \[0\.5, 0\.8\]",
+            match=r"non-finite value on panel \[0\.5, 1\.0\] x \[0\.0, 0\.5\]$",
         ):
             integrate_axisymmetric(f, Ambient(3, 1.0), DEFAULT_CONFIG)
 
