@@ -59,6 +59,7 @@ __all__ = [
 # narrowest bubble's width) coincide; offsets from the axis below this
 # (relative to the cloud's extent) lie on it.
 _CENTER_TOL = 1e-14
+_ZERO = 0.0
 
 
 class Geometry(Enum):
@@ -78,9 +79,12 @@ class BubbleParam:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeff", float(self.coeff))
         object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(
-            self, "center", tuple(float(c) for c in np.atleast_1d(self.center))
-        )
+        # Exact +0.0 coordinates share one float (an on-axis maximizer has
+        # d - 1 of them); -0.0 keeps its sign.
+        center = map(float, np.atleast_1d(self.center))
+        object.__setattr__(self, "center", tuple(
+            _ZERO if c == 0.0 and math.copysign(1.0, c) > 0.0 else c for c in center
+        ))
         if self.coeff == 0.0 or not math.isfinite(self.coeff):
             raise ParameterError(f"coeff must be finite and nonzero, got {self.coeff}")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):

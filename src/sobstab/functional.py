@@ -7,14 +7,24 @@ one has dist(f, M)^2 = ||f||_{H^s}^2 - S_d m(f), so everything reduces to the
 closed-form pairings of the bubbles module plus a low-dimensional maximizer
 search; only ||f||_{2*} takes a quadrature.
 
-The m-search is heuristic-global (a fixed grid scan of the closed-form
-objective over (axial position, log scale), every grid peak polished by
-Newton steps on the objective's exact gradient and Hessian, which the
-pairing kernel's derivative rows give in closed form); a certified global
-bound is out of scope.  For same-sign concentric superpositions the
-maximizer center provably coincides with the common center
-(symmetric-decreasing rearrangement), so there the grid is one column in
-log(scale).
+A probe bubble (x, mu) is the point (x, 1/mu) of hyperbolic space H^(d+1),
+and two bubbles pair as F(rho) of their distance rho (e = 2 cosh rho - 2).
+F is strictly decreasing and log-concave in rho, as the cross-correlation of
+the log-concave profile (2 cosh v)^(-a) with its (2*-1)-th power
+(Prekopa-Leindler).  For a pair, grad P = c1 F'(rho_1) grad rho_1 +
+c2 F'(rho_2) grad rho_2 vanishes only where the two distance gradients are
+parallel: on the geodesic through the terms' points.  There the second
+variation across it, sum c_i F'(rho_i) coth(rho_i) (the Hessian of rho is
+coth(rho) (g - d rho d rho)), makes the point a maximum of P^2 across it:
+between the points c1 and c2 share a sign, beyond them log-concavity gives
+P the nearer term's.  So a pair's local maxima are those along that one
+geodesic, and its search scans it alone.  Same-sign concentric u has its
+maximizer at the common center (symmetric-decreasing rearrangement), so
+its scan is that column in log(scale).  Any other u of three or more terms
+is searched heuristic-global, on a grid over (axial position, log scale).
+Every scan peak is polished by Newton steps on the objective's exact
+gradient and Hessian, which the kernel's derivative rows give in closed
+form; a certified global bound is out of scope.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from .bubbles import (
     BubbleParam,
     Geometry,
     Superposition,
+    _conformal_invariant,
     _frame,
     _pair_radial,
     hs_norm_sq,
@@ -110,8 +121,42 @@ def _grid_peaks(q: np.ndarray) -> np.ndarray:
     return peak
 
 
+def _geodesic(pos: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probes (axial position, log scale) on the geodesic through the points
+    (x_i, 1/lambda_i) of a collinear pair, over arc lengths [-12, rho + 12]
+    from the first: _Z_PER_UNIT per unit from each point, and the midpoint.
+
+    Each half is laid out from its own term, in its units (it at (0, 1), the
+    other at (x, y)): with tan(theta) = c + R sign(x) the geodesic's end
+    beyond the other, c its center and R = hypot(c, 1), arc length s > 0 away
+    from the other is (-sign(s) sin cos (1 - k^2), k) / D, k = e^-|s|,
+    D = k^2 + (1 - k^2) sin^2, cos^2 for s < 0: nothing cancels near a term.
+    """
+    (x1, x2), (l1, l2) = pos.tolist(), lams.tolist()
+    _, legs = _conformal_invariant(l1, l2, x2 - x1)
+    rho = 2.0 * math.asinh(0.5 * math.hypot(*legs))
+    steps = np.arange(
+        1 - math.ceil(0.5 * _Z_PER_UNIT * rho), _Z_PER_UNIT * _LOG_DOMAIN_PAD + 1
+    ) / _Z_PER_UNIT
+    s = np.concatenate([steps[::-1], [-0.5 * rho], steps])
+    far = np.repeat([0, 0, 1], [steps.size, 1, steps.size])
+    tans = []
+    for xi, li, xj, lj in ((x1, l1, x2, l2), (x2, l2, x1, l1)):
+        x, y = li * (xj - xi), li / lj
+        c = 0.5 * x + 0.5 * (y - 1.0) * (y + 1.0) / x
+        r = abs(c) + math.hypot(c, 1.0)  # c + R sign(x) = -1/(c - R sign(x))
+        tans.append(math.copysign(r if (c < 0.0) == (x < 0.0) else 1.0 / r, x))
+    theta = np.arctan(tans)[far]
+    sn, cs = np.sin(theta), np.cos(theta)
+    k2, m1 = np.exp(-2.0 * np.abs(s)), np.expm1(-2.0 * np.abs(s))  # m1 = k^2 - 1
+    d = k2 - m1 * np.where(s > 0, sn * sn, cs * cs)
+    lam = lams[far]
+    a = pos[far] + np.sign(s) * sn * cs * m1 / d / lam
+    return a, np.log(lam) + np.abs(s) + np.log(d)
+
+
 def _polish(
-    amb, axial: tuple, a: np.ndarray, z: np.ndarray, rb: np.ndarray,
+    amb, axial: tuple, a: np.ndarray, z: np.ndarray, rb: np.ndarray | float,
     rz: float, z_lo: float, z_hi: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton ascent of P(a, z)^2 from every start (a[k], z[k]) at once.
@@ -146,11 +191,15 @@ def _polish(
                 # Elsewhere the unit gradient, pushed one unit uphill along
                 # the axis where P is not concave in b: on the axis of a
                 # concentric u the axial slope vanishes by symmetry, and the
-                # gradient alone would stay at a saddle there.
+                # gradient alone would stay at a saddle there.  With b frozen
+                # the push goes along z, where P^2 is not concave in it: a
+                # column point can sit on the minimum between two mirror
+                # peaks of a symmetric pair, where the slope in z is 0.
                 gn = np.hypot(gb, gz)
                 push = ((hbb >= 0) & (rb > 0)) * np.copysign(1.0, gb)
+                lift = ((hzz >= 0) & (rb == 0)) * np.copysign(1.0, gz)
                 db = np.where(newton, db, np.nan_to_num(gb / gn) + push)
-                dz = np.where(newton, dz, np.nan_to_num(gz / gn))
+                dz = np.where(newton, dz, np.nan_to_num(gz / gn) + lift)
             # the step's length in grid cells; rb = 0 freezes b
             cells = np.fmax(np.abs(db) / rb, np.abs(dz) / rz)
             fit = 1.0 / np.maximum(cells, newton)
@@ -173,20 +222,20 @@ def m_value(u: Superposition) -> MOptimum:
     """Global maximum of (u, B_{x,mu}^(2*-1))^2 over admissible (x, mu).
 
     The probe center runs along the axis of u's centers (for concentric u
-    any axis through the common center), its log scale over
-    [log(min lambda_i) - 12, log(max lambda_i) + 12].  The closed-form
-    objective is scanned on one grid, _Z_PER_UNIT points per unit of log
-    scale times an axial set: for same-sign concentric u the common center
-    alone, where symmetric-decreasing rearrangement puts the maximizer;
-    otherwise _AXIAL_PER_TERM points over each center +- _AXIAL_REACH widths
-    1/lambda_i and as many over the whole cloud.  Every positive grid point
-    that no neighbour exceeds is polished by Newton steps on the exact
-    derivatives (_polish).  The search runs in the frame dilated by the power
-    of two that centers the log2 scales on 0, so that no probe scale leaves
-    the float range; the maximizers are dilated back.
-    all_local_maxima lists the polished peaks, those closer than
-    _CLUSTER_TOL in both axial position (in probe widths) and log scale
-    merged to the best.  No positive grid value means the terms of u
+    any axis through the common center).  A collinear pair is scanned along
+    the geodesic through its terms' points, where its maxima lie
+    (_geodesic), with polish steps of at most 1/_Z_PER_UNIT.  Other u scan
+    _Z_PER_UNIT log scales per unit over [log(min lambda_i) - 12,
+    log(max lambda_i) + 12] times an axial set: for a concentric pair or
+    same-sign concentric u the common center alone, otherwise
+    _AXIAL_PER_TERM points over each center +- _AXIAL_REACH widths
+    1/lambda_i and as many over the whole cloud.  Every positive scan point
+    that no neighbour exceeds is polished (_polish).  The search runs in the
+    frame dilated by the power of two that centers the log2 scales on 0,
+    so that no probe scale leaves the float range; the maximizers are
+    dilated back.  all_local_maxima lists the polished peaks, those closer
+    than _CLUSTER_TOL in both axial position (in probe widths) and log
+    scale merged to the best.  No positive scan value means the terms of u
     cancel, and raises ParameterError.
     """
     geo, p0, e, pos = _frame(u)
@@ -199,32 +248,42 @@ def m_value(u: Superposition) -> MOptimum:
     lams = np.ldexp([t.scale for t in u.terms], -shift)
     pos = np.ldexp(pos, shift)
     axial = (coeffs, pos, lams)
-    lo = math.log(lams.min()) - _LOG_DOMAIN_PAD
-    hi = math.log(lams.max()) + _LOG_DOMAIN_PAD
-    zs = np.linspace(lo, hi, math.ceil(_Z_PER_UNIT * (hi - lo)) + 1)
-    if geo is Geometry.CONCENTRIC and (all(coeffs > 0) or all(coeffs < 0)):
-        axis_pts = np.zeros(1)
+    if geo is Geometry.COLLINEAR and len(coeffs) == 2:
+        a, z = _geodesic(pos, lams)
+        grid = _pair_radial(amb, axial, a, z)[None]
+        peak = _grid_peaks(grid * grid)[0]
+        rb = rz = 1.0 / _Z_PER_UNIT
+        # z stays within a cell of the scan: the arc's top lies between probes.
+        a0, z0, lo, hi = a[peak], z[peak], z.min() - rz, z.max() + rz
     else:
-        reach = _AXIAL_REACH / lams
-        spans = list(zip(pos - reach, pos + reach))
-        spans.append(((pos - reach).min(), (pos + reach).max()))
-        axis_pts = np.unique(
-            np.concatenate([np.linspace(l, r, _AXIAL_PER_TERM) for l, r in spans])
-        )
-    grid = _pair_radial(amb, axial, axis_pts[:, None], zs)
-    ia, iz = np.nonzero(_grid_peaks(grid * grid))
-    if not ia.size:
+        lo = math.log(lams.min()) - _LOG_DOMAIN_PAD
+        hi = math.log(lams.max()) + _LOG_DOMAIN_PAD
+        zs = np.linspace(lo, hi, math.ceil(_Z_PER_UNIT * (hi - lo)) + 1)
+        rz = zs[1] - zs[0]
+        column = len(coeffs) == 2 or all(coeffs > 0) or all(coeffs < 0)
+        if geo is Geometry.CONCENTRIC and column:
+            axis_pts = np.zeros(1)
+        else:
+            reach = _AXIAL_REACH / lams
+            spans = list(zip(pos - reach, pos + reach))
+            spans.append(((pos - reach).min(), (pos + reach).max()))
+            axis_pts = np.unique(
+                np.concatenate([np.linspace(l, r, _AXIAL_PER_TERM) for l, r in spans])
+            )
+        grid = _pair_radial(amb, axial, axis_pts[:, None], zs)
+        ia, iz = np.nonzero(_grid_peaks(grid * grid))
+        # A step spans at most one grid cell, and along the axis at least
+        # half a probe width: a cell sized by the terms is tiny to a wide probe.
+        gaps = np.diff(axis_pts, prepend=axis_pts[0], append=axis_pts[-1])
+        cell = np.maximum(gaps[:-1], gaps[1:])[ia]
+        a0, z0 = axis_pts[ia], zs[iz]
+        rb = np.where(cell > 0, np.maximum(cell * np.exp(z0), 0.5), 0.0)
+    if not a0.size:
         raise ParameterError(
             "the terms of u cancel: no probe bubble pairs with u, so m has "
             "no maximizer"
         )
-    # A step spans at most one grid cell, and along the axis at least half a
-    # probe width, since a cell sized by the terms is tiny against a wide probe.
-    gaps = np.diff(axis_pts, prepend=axis_pts[0], append=axis_pts[-1])
-    cell = np.maximum(gaps[:-1], gaps[1:])[ia]
-    z0 = zs[iz]
-    rb = np.where(cell > 0, np.maximum(cell * np.exp(z0), 0.5), 0.0)
-    pa, pz, pv = _polish(amb, axial, axis_pts[ia], z0, rb, zs[1] - zs[0], lo, hi)
+    pa, pz, pv = _polish(amb, axial, a0, z0, rb, rz, lo, hi)
 
     merged: list[tuple[float, float, float]] = []
     for a, lm, v in sorted(zip(pa.tolist(), pz.tolist(), pv.tolist())):

@@ -107,6 +107,19 @@ class TestBubbleParam:
         with pytest.raises(ParameterError):
             BubbleParam(**kwargs)
 
+    def test_center_keeps_every_value_and_the_sign_of_every_zero(self):
+        """Exact +0.0 coordinates share one float object; every value, and
+        the sign of every zero, is what was passed."""
+        given = (0.0, -0.0, 1.5, np.float64(0.0), -np.float64(0.0), 5e-324, -2, 0)
+        center = BubbleParam(1.0, given, 1.0).center
+        assert all(type(c) is float for c in center)
+        assert center == tuple(float(c) for c in given)
+        assert [math.copysign(1.0, c) for c in center] == [
+            math.copysign(1.0, c) for c in given
+        ]
+        zeros = [c for c in center if c == 0.0 and math.copysign(1.0, c) > 0.0]
+        assert len(zeros) == 3 and all(z is zeros[0] for z in zeros)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
             Superposition(AMB31, (BubbleParam(1.0, (0.0, 0.0), 1.0),))

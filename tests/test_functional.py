@@ -296,6 +296,16 @@ def _squared_pairing(u, x, log_scale):
     return p * p
 
 
+def _assert_local_maximum(u, b, v):
+    """No neighbour 1e-4 away in axial position (in widths of the probe) or
+    in log scale beats the reported value v."""
+    x, z = b.center[0], math.log(b.scale)
+    for i in (-1, 0, 1):
+        for j in (-1, 0, 1):
+            q = _squared_pairing(u, x + i * 1e-4 / b.scale, z + j * 1e-4)
+            assert q <= v * (1.0 + 1e-12), (u, b, i, j)
+
+
 class TestSearchOracle:
     """m_value against the public pairing on probes the test chooses:
     unit bubbles centered on the first axis, which carries every center."""
@@ -326,11 +336,7 @@ class TestSearchOracle:
             corpus += [concentric(Ambient(d, 1.0), *p) for p in _CONCENTRIC_PAIRS]
         for u in corpus:
             for b, v in m_value(u).all_local_maxima:
-                x, z = b.center[0], math.log(b.scale)
-                for i in (-1, 0, 1):
-                    for j in (-1, 0, 1):
-                        q = _squared_pairing(u, x + i * 1e-4 / b.scale, z + j * 1e-4)
-                        assert q <= v * (1.0 + 1e-12), (u, b, i, j)
+                _assert_local_maximum(u, b, v)
 
 
 # (d, s, terms as (coeff, axial position, scale)).  The last is a d = 1 pair
@@ -416,6 +422,102 @@ class TestMaximizerOracle:
             assert abs(best.scale / mp.exp(z) - 1) <= 1e-12
 
 
+def _pair(d, s, *terms):
+    """The superposition of terms (coeff, position on the first axis, scale)."""
+    return Superposition(
+        Ambient(d, s),
+        tuple(BubbleParam(c, (x,) + (0.0,) * (d - 1), lam) for c, x, lam in terms),
+    )
+
+
+def _sinh_off_geodesic(u, b):
+    """sinh of the hyperbolic distance from the probe b's point (x, 1/mu) to
+    the geodesic through the points (x_i, 1/lambda_i) of the pair u, all on
+    the first axis, in the first term's units: the term at (0, 1), the other
+    at (X, Y) and the probe at (x, y).  The geodesic is the line x = 0 when
+    X = 0, else the circle of center c = (X^2 + Y^2 - 1)/(2X) and radius
+    R = hypot(c, 1), at sinh distance |x^2 + y^2 - 1 - 2 c x| / (2 y R)."""
+    t1, t2 = u.terms
+    x, y = t1.scale * (b.center[0] - t1.center[0]), t1.scale / b.scale
+    big_x, big_y = t1.scale * (t2.center[0] - t1.center[0]), t1.scale / t2.scale
+    if big_x == 0.0:
+        return abs(x) / y
+    c = (big_x * big_x + big_y * big_y - 1.0) / (2.0 * big_x)
+    return abs(x * x + y * y - 1.0 - 2.0 * c * x) / (2.0 * y * math.hypot(c, 1.0))
+
+
+def _pair_draws(count, seed):
+    """Seeded pairs on the first axis, d = 1..7 in turn and s = U(0.05,
+    d/2 - 0.05): coefficients 1 and +-U(0.2, 1.5), scales e^U(-3, 3),
+    positions U(-3, 3), every third pair concentric."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        d = 1 + k % 7
+        s = float(rng.uniform(0.05, d / 2 - 0.05))
+        c2 = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 1.5))
+        x1, x2 = (0.0, 0.0) if k % 3 == 0 else rng.uniform(-3.0, 3.0, 2)
+        lam1, lam2 = np.exp(rng.uniform(-3.0, 3.0, 2))
+        out.append(_pair(d, s, (1.0, x1, lam1), (c2, x2, lam2)))
+    return out
+
+
+class TestPairGeodesic:
+    """For a pair, the critical points of P = c1 F(rho_1) + c2 F(rho_2) lie
+    on the geodesic through the terms' points, and there each is a maximum
+    of P^2 across it, so the search scans that geodesic alone."""
+
+    def test_every_maximum_is_local_and_on_the_geodesic(self):
+        draws = _pair_draws(210, seed=24)
+        assert {(u.terms[1].coeff > 0) for u in draws} == {True, False}
+        for u in draws:
+            for b, v in m_value(u).all_local_maxima:
+                # 1e-6: where P^2 is flat, the polish may stop a few 1e-7 short
+                assert _sinh_off_geodesic(u, b) <= 1e-6, (u, b)
+                _assert_local_maximum(u, b, v)
+
+    def test_non_stationary_point_is_no_maximum(self):
+        """A search over a 2-D grid listed a second maximum at axial -0.5528,
+        mu 0.5492, where the gradient of P is about (-2.0e-3, 3.5e-3)."""
+        u = _pair(
+            5, 0.967, (1.0, 0.0, 6.279826879095044),
+            (0.34834291632086845, -1.554956028604366, 0.3662801508657951),
+        )
+        maxima = m_value(u).all_local_maxima
+        assert len(maxima) == 1
+        for b, v in maxima:
+            _assert_local_maximum(u, b, v)
+
+    def test_no_maximum_off_the_geodesic(self):
+        """A search over a 2-D grid listed a maximum at axial 7766.4, mu
+        2.27e-4, 8.9e3 off the geodesic in hyperbolic distance."""
+        u = _pair(
+            1, 0.131, (1.0, 0.0, 0.24174060139994266),
+            (-1.4343327815453444, -0.7214792173706823, 0.7089532860690916),
+        )
+        maxima = m_value(u).all_local_maxima
+        assert len(maxima) == 2
+        for b, v in maxima:
+            assert _sinh_off_geodesic(u, b) <= 1e-6, b
+            _assert_local_maximum(u, b, v)
+
+    def test_narrow_maximum_is_found(self):
+        """A search over a 2-D grid missed the maximum at axial -3.2226, mu
+        2.4158, P^2 3.87e-5, where sign(P) times the Hessian of P has
+        eigenvalues -1.0e-2 and -1.9e-3."""
+        u = _pair(
+            6, 2.348, (1.0, 0.0, 0.07142190446320733),
+            (-0.4664251321336748, -2.9437727892744903, 0.2361077657142615),
+        )
+        found = [
+            (b, v) for b, v in m_value(u).all_local_maxima
+            if abs(b.center[0] + 3.2226) < 1e-4 and abs(b.scale - 2.4158) < 1e-4
+        ]
+        assert len(found) == 1
+        assert found[0][1] == pytest.approx(3.87e-5, rel=2e-3)
+        _assert_local_maximum(u, *found[0])
+
+
 class TestSaddles:
     def test_symmetric_saddle_is_no_local_maximum(self):
         """A signed concentric triple whose objective has a saddle on the
@@ -433,6 +535,21 @@ class TestSaddles:
             x, z = b.center[0], math.log(b.scale)
             for dx in (-1e-3, 1e-3):
                 assert _squared_pairing(u, x + dx / b.scale, z) <= v * (1 + 1e-12)
+
+    def test_column_start_on_the_symmetric_minimum_moves_off_it(self):
+        """B_1 + B_lam at log lam = -3.1 (to the last bit given) has two
+        mirror maxima about z = log(lam)/2, and the search's log-scale column
+        has a point exactly there, where the slope in z is 0 and P^2 has a
+        minimum along the column.  The polish must leave it for a maximum,
+        with no invalid-value warning on the way."""
+        u = concentric(AMB31, (1.0, 1.0), (1.0, 0.04504920239355784))
+        maxima = m_value(u).all_local_maxima
+        nearby = concentric(AMB31, (1.0, 1.0), (1.0, 0.0450492023935578))
+        assert maxima[0][1] == pytest.approx(m_value(nearby).value, rel=1e-14)
+        for b, v in maxima:
+            assert math.log(b.scale) == pytest.approx(-1.3662, abs=1e-3) or (
+                math.log(b.scale) == pytest.approx(-1.7338, abs=1e-3)
+            )
 
 
 class TestIdentities:

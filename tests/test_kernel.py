@@ -246,3 +246,18 @@ def test_value_row_of_derivative_call_is_the_plain_value(d, s):
     assert rows.shape == (3,) + es.shape
     assert np.array_equal(rows[0], _pair_kernel(amb, es))
     assert np.all(rows[1:, 0, 1] == 0.0)  # e = inf
+
+
+@pytest.mark.parametrize("d, s", AMBIENTS)
+def test_kernel_decreasing_and_log_concave_in_distance(d, s):
+    """In the hyperbolic distance rho, e = 2 cosh(rho) - 2, F is strictly
+    decreasing and log-concave: F' = 2 sinh(rho) F_e < 0, and
+    F^2 (log F)'' = e (e + 4) (F F_ee - F_e^2) + (e + 2) F F_e <= 0 up to
+    the roundoff of its three terms.  These two facts put every maximum of
+    a two-term m-search on the geodesic through the terms' points."""
+    e = np.geomspace(1e-12, 1e12, 97)
+    f, f1, f2 = _pair_kernel(Ambient(d, s), e, derivs=True)
+    assert np.all(f1 < 0.0)
+    terms = (e * (e + 4.0) * f * f2, -e * (e + 4.0) * f1 * f1, (e + 2.0) * f * f1)
+    roundoff = 4.0 * np.finfo(float).eps * sum(map(np.abs, terms))
+    assert np.all(sum(terms) <= roundoff)
