@@ -230,6 +230,15 @@ def _conformal_invariant(l1, l2, dist):
         return p * p + q * q, (p, q)
 
 
+def _hyperbolic_distance(b1: BubbleParam, b2: BubbleParam) -> float:
+    """Distance rho = log t of the points (x_i, 1/lambda_i) of two bubbles in
+    hyperbolic space H^(d+1), from the legs of their conformal invariant
+    e = 4 sinh(rho/2)^2: c1 B_1 + c2 B_2 is conformally the concentric pair
+    c1 B_{0,1} + c2 B_{0,e^rho}."""
+    _, legs = _conformal_invariant(b1.scale, b2.scale, math.dist(b1.center, b2.center))
+    return 2.0 * math.asinh(0.5 * math.hypot(*legs))
+
+
 # Stirling's series for log Gamma: the coefficients B_2k / (2k (2k - 1)),
 # summed from _STIRLING_FROM on, where the first omitted term is below 1e-17.
 _STIRLING = (
@@ -491,8 +500,10 @@ def _pair_radial(
             out[0, k : k + step] = coeffs @ _pair_kernel(amb, e)
             continue
         f, f1, f2 = _pair_kernel(amb, e, derivs=True)
-        fin = np.isfinite(e)  # where e = inf, F' = F'' = 0 and q may be inf
-        r2 = lams[:, None] / mu  # rho^2
+        # Where e = inf, F' = F'' = 0 and q and lambda/mu may overflow; where
+        # e is finite, so is lambda/mu <= e + 2.
+        fin = np.isfinite(e)
+        r2 = np.where(fin, lams[:, None], 0.0) / mu  # rho^2
         e_b = np.where(fin, -2.0 * q, 0.0) * np.sqrt(r2)
         e_bb = 2.0 * r2
         e_z = np.where(fin, e, 0.0) + 2.0 - e_bb
@@ -571,24 +582,23 @@ def lp_norm(u: Superposition, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Critical Lebesgue norm ||u||_{2*} (signed coefficients supported).
 
     The one quantity without a closed form: integrated by adaptive
-    quadrature.  Concentric centers integrate radially.  So does every pair:
-    ||.||_{2*} is conformally invariant, and c1 B_1 + c2 B_2 is conformally
-    equivalent to the concentric pair c1 B_{0,1} + c2 B_{0,t} at their
-    conformal ratio t.  Three or more collinear centers use the
+    quadrature.  Every pair, concentric or not, integrates radially as its
+    concentric pair c1 B_{0,1} + c2 B_{0,e^rho} (_hyperbolic_distance):
+    ||.||_{2*} is conformally invariant, and the log scales 0 and rho do not
+    depend on the input's.  Three or more concentric centers integrate
+    radially at their own log scales, three or more collinear ones by the
     axisymmetric quadrature, in cells around each center, for every d;
     other clouds are rejected.
     """
     check_config(cfg)
     amb = u.ambient
+    if len(u.terms) == 2:
+        b1, b2 = u.terms
+        rho = _hyperbolic_distance(b1, b2)
+        return _radial_norm(amb, cfg, [(b1.coeff, 0.0), (b2.coeff, rho)])
     geo, _, _, pos = _frame(u)
     if geo is Geometry.CONCENTRIC:
         return _radial_norm(amb, cfg, [(t.coeff, math.log(t.scale)) for t in u.terms])
-    if len(u.terms) == 2:
-        b1, b2 = u.terms
-        dist = math.dist(b1.center, b2.center)
-        _, legs = _conformal_invariant(b1.scale, b2.scale, dist)
-        log_t = 2.0 * math.asinh(0.5 * math.hypot(*legs))  # e = 4 sinh(log_t/2)^2
-        return _radial_norm(amb, cfg, [(b1.coeff, 0.0), (b2.coeff, log_t)])
     if geo is Geometry.GENERAL:
         raise GeometryError("lp_norm requires concentric or collinear centers")
 

@@ -18,10 +18,15 @@ variation across it, sum c_i F'(rho_i) coth(rho_i) (the Hessian of rho is
 coth(rho) (g - d rho d rho)), makes the point a maximum of P^2 across it:
 between the points c1 and c2 share a sign, beyond them log-concavity gives
 P the nearer term's.  So a pair's local maxima are those along that one
-geodesic, and its search scans it alone.  Same-sign concentric u has its
+geodesic, and P there depends on the distances to the two points alone:
+every pair is searched as its canonical concentric pair, c1 and c2 on one
+center at log scales -rho/2 and rho/2 (rho the distance of the terms'
+points), along that center's column in log(scale), and each maximum at log
+scale z is mapped to the point at arc length z from the midpoint of the
+input's geodesic.  Same-sign concentric u of three or more terms has its
 maximizer at the common center (symmetric-decreasing rearrangement), so
-its scan is that column in log(scale).  Any other u of three or more terms
-is searched heuristic-global, on a grid over (axial position, log scale).
+its scan is that column too.  Any other u of three or more terms is
+searched heuristic-global, on a grid over (axial position, log scale).
 Every scan peak is polished by Newton steps on the objective's exact
 gradient and Hessian, which the kernel's derivative rows give in closed
 form; a certified global bound is out of scope.
@@ -38,8 +43,8 @@ from .bubbles import (
     BubbleParam,
     Geometry,
     Superposition,
-    _conformal_invariant,
     _frame,
+    _hyperbolic_distance,
     _pair_radial,
     hs_norm_sq,
     lp_norm,
@@ -121,37 +126,40 @@ def _grid_peaks(q: np.ndarray) -> np.ndarray:
     return peak
 
 
-def _geodesic(pos: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probes (axial position, log scale) on the geodesic through the points
-    (x_i, 1/lambda_i) of a collinear pair, over arc lengths [-12, rho + 12]
-    from the first: _Z_PER_UNIT per unit from each point, and the midpoint.
+def _geodesic(
+    pos: np.ndarray, lams: np.ndarray, rho: float, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points (axial position, log scale) at arc lengths z from the midpoint
+    of the geodesic through the points (x_i, 1/lambda_i) of a pair, rho
+    apart, toward the first for z < 0: the images of the log scales z of
+    the pair's canonical column.
 
     Each half is laid out from its own term, in its units (it at (0, 1), the
-    other at (x, y)): with tan(theta) = c + R sign(x) the geodesic's end
-    beyond the other, c its center and R = hypot(c, 1), arc length s > 0 away
-    from the other is (-sign(s) sin cos (1 - k^2), k) / D, k = e^-|s|,
+    other at (x, y)), at arc length s = |z| - rho/2 from it, s > 0 away from
+    the other: with tan(theta) = c + R sign(x) the geodesic's end beyond the
+    other, c its center and R = hypot(c, 1), the point is
+    (-sign(s) sin cos (1 - k^2), k) / D, k = e^-|s|,
     D = k^2 + (1 - k^2) sin^2, cos^2 for s < 0: nothing cancels near a term.
+    When the terms share a center (so at rho = 0) the geodesic is their
+    column, where the log scale moves by s exactly and the center stays.
     """
     (x1, x2), (l1, l2) = pos.tolist(), lams.tolist()
-    _, legs = _conformal_invariant(l1, l2, x2 - x1)
-    rho = 2.0 * math.asinh(0.5 * math.hypot(*legs))
-    steps = np.arange(
-        1 - math.ceil(0.5 * _Z_PER_UNIT * rho), _Z_PER_UNIT * _LOG_DOMAIN_PAD + 1
-    ) / _Z_PER_UNIT
-    s = np.concatenate([steps[::-1], [-0.5 * rho], steps])
-    far = np.repeat([0, 0, 1], [steps.size, 1, steps.size])
+    half = (z > 0).astype(int)  # 0 on the first term's half, 1 on the second's
+    s = np.abs(z) - 0.5 * rho
+    lam = lams[half]
+    if x1 == x2:  # the column: scales grow away from a wider other
+        return pos[half], np.log(lam) + np.where(lam > lams[1 - half], s, -s)
     tans = []
     for xi, li, xj, lj in ((x1, l1, x2, l2), (x2, l2, x1, l1)):
         x, y = li * (xj - xi), li / lj
         c = 0.5 * x + 0.5 * (y - 1.0) * (y + 1.0) / x
         r = abs(c) + math.hypot(c, 1.0)  # c + R sign(x) = -1/(c - R sign(x))
         tans.append(math.copysign(r if (c < 0.0) == (x < 0.0) else 1.0 / r, x))
-    theta = np.arctan(tans)[far]
+    theta = np.arctan(tans)[half]
     sn, cs = np.sin(theta), np.cos(theta)
     k2, m1 = np.exp(-2.0 * np.abs(s)), np.expm1(-2.0 * np.abs(s))  # m1 = k^2 - 1
     d = k2 - m1 * np.where(s > 0, sn * sn, cs * cs)
-    lam = lams[far]
-    a = pos[far] + np.sign(s) * sn * cs * m1 / d / lam
+    a = pos[half] + np.sign(s) * sn * cs * m1 / d / lam
     return a, np.log(lam) + np.abs(s) + np.log(d)
 
 
@@ -222,21 +230,23 @@ def m_value(u: Superposition) -> MOptimum:
     """Global maximum of (u, B_{x,mu}^(2*-1))^2 over admissible (x, mu).
 
     The probe center runs along the axis of u's centers (for concentric u
-    any axis through the common center).  A collinear pair is scanned along
-    the geodesic through its terms' points, where its maxima lie
-    (_geodesic), with polish steps of at most 1/_Z_PER_UNIT.  Other u scan
-    _Z_PER_UNIT log scales per unit over [log(min lambda_i) - 12,
-    log(max lambda_i) + 12] times an axial set: for a concentric pair or
+    any axis through the common center).  A pair is scanned on its
+    canonical column (see the module docstring): _Z_PER_UNIT log scales per
+    unit from each term out to _LOG_DOMAIN_PAD beyond it, and the midpoint
+    between them, so that the probes mirror each other about it; its
+    polished maxima are mapped onto the geodesic through its terms' points
+    (_geodesic).  Other u scan _Z_PER_UNIT log scales per unit over
+    [log(min lambda_i) - 12, log(max lambda_i) + 12] times an axial set: for
     same-sign concentric u the common center alone, otherwise
     _AXIAL_PER_TERM points over each center +- _AXIAL_REACH widths
     1/lambda_i and as many over the whole cloud.  Every positive scan point
-    that no neighbour exceeds is polished (_polish).  The search runs in the
-    frame dilated by the power of two that centers the log2 scales on 0,
-    so that no probe scale leaves the float range; the maximizers are
-    dilated back.  all_local_maxima lists the polished peaks, those closer
-    than _CLUSTER_TOL in both axial position (in probe widths) and log
-    scale merged to the best.  No positive scan value means the terms of u
-    cancel, and raises ParameterError.
+    that no neighbour exceeds is polished (_polish), with b frozen on a
+    column.  The search runs in the frame dilated by the power of two that
+    centers the log2 scales on 0, so that no probe scale leaves the float
+    range; the maximizers are dilated back.  all_local_maxima lists the
+    polished peaks, those closer than _CLUSTER_TOL in both axial position
+    (in probe widths) and log scale merged to the best.  No positive scan
+    value means the terms of u cancel, and raises ParameterError.
     """
     geo, p0, e, pos = _frame(u)
     if geo is Geometry.GENERAL:
@@ -247,43 +257,45 @@ def m_value(u: Superposition) -> MOptimum:
     coeffs = np.array([t.coeff for t in u.terms])
     lams = np.ldexp([t.scale for t in u.terms], -shift)
     pos = np.ldexp(pos, shift)
-    axial = (coeffs, pos, lams)
-    if geo is Geometry.COLLINEAR and len(coeffs) == 2:
-        a, z = _geodesic(pos, lams)
-        grid = _pair_radial(amb, axial, a, z)[None]
-        peak = _grid_peaks(grid * grid)[0]
-        rb = rz = 1.0 / _Z_PER_UNIT
-        # z stays within a cell of the scan: the arc's top lies between probes.
-        a0, z0, lo, hi = a[peak], z[peak], z.min() - rz, z.max() + rz
+    axis_pts = np.zeros(1)
+    if len(coeffs) == 2:
+        # The canonical column: both terms at 0, at log scales -+rho/2.
+        rho = _hyperbolic_distance(*u.terms)
+        axial = (coeffs, np.zeros(2), np.exp([-0.5 * rho, 0.5 * rho]))
+        steps = np.arange(
+            1 - math.ceil(0.5 * _Z_PER_UNIT * rho), _Z_PER_UNIT * _LOG_DOMAIN_PAD + 1
+        ) / _Z_PER_UNIT
+        zs = np.concatenate([-0.5 * rho - steps[::-1], [0.0], 0.5 * rho + steps])
     else:
+        axial = (coeffs, pos, lams)
         lo = math.log(lams.min()) - _LOG_DOMAIN_PAD
         hi = math.log(lams.max()) + _LOG_DOMAIN_PAD
         zs = np.linspace(lo, hi, math.ceil(_Z_PER_UNIT * (hi - lo)) + 1)
-        rz = zs[1] - zs[0]
-        column = len(coeffs) == 2 or all(coeffs > 0) or all(coeffs < 0)
-        if geo is Geometry.CONCENTRIC and column:
-            axis_pts = np.zeros(1)
-        else:
+        if geo is Geometry.COLLINEAR or not (all(coeffs > 0) or all(coeffs < 0)):
             reach = _AXIAL_REACH / lams
             spans = list(zip(pos - reach, pos + reach))
             spans.append(((pos - reach).min(), (pos + reach).max()))
             axis_pts = np.unique(
                 np.concatenate([np.linspace(l, r, _AXIAL_PER_TERM) for l, r in spans])
             )
-        grid = _pair_radial(amb, axial, axis_pts[:, None], zs)
-        ia, iz = np.nonzero(_grid_peaks(grid * grid))
-        # A step spans at most one grid cell, and along the axis at least
-        # half a probe width: a cell sized by the terms is tiny to a wide probe.
-        gaps = np.diff(axis_pts, prepend=axis_pts[0], append=axis_pts[-1])
-        cell = np.maximum(gaps[:-1], gaps[1:])[ia]
-        a0, z0 = axis_pts[ia], zs[iz]
-        rb = np.where(cell > 0, np.maximum(cell * np.exp(z0), 0.5), 0.0)
-    if not a0.size:
+    lo, hi, rz = zs[0], zs[-1], zs[1] - zs[0]
+    grid = _pair_radial(amb, axial, axis_pts[:, None], zs)
+    ia, iz = np.nonzero(_grid_peaks(grid * grid))
+    if not ia.size:
         raise ParameterError(
             "the terms of u cancel: no probe bubble pairs with u, so m has "
             "no maximizer"
         )
+    a0, z0 = axis_pts[ia], zs[iz]
+    rb = 0.0  # b stays frozen on a column
+    if axis_pts.size > 1:
+        # A step spans at most one grid cell, and along the axis at least
+        # half a probe width: a cell sized by the terms is tiny to a wide probe.
+        gaps = np.diff(axis_pts, prepend=axis_pts[0], append=axis_pts[-1])
+        rb = np.maximum(np.maximum(gaps[:-1], gaps[1:])[ia] * np.exp(z0), 0.5)
     pa, pz, pv = _polish(amb, axial, a0, z0, rb, rz, lo, hi)
+    if len(coeffs) == 2:
+        pa, pz = _geodesic(pos, lams, rho, pz)
 
     merged: list[tuple[float, float, float]] = []
     for a, lm, v in sorted(zip(pa.tolist(), pz.tolist(), pv.tolist())):

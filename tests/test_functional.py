@@ -13,6 +13,7 @@ from sobstab.bubbles import (
     BubbleParam,
     Superposition,
     _pair_radial,
+    lp_norm,
     pair_against_bubble,
 )
 from sobstab.constants import Ambient, sharp_constants
@@ -211,7 +212,7 @@ class TestCollinear:
             warnings.simplefilter("error")
             rep, unit = functional_report(pair(lam)), functional_report(pair(1.0))
         assert rep.m.value == pytest.approx(unit.m.value, rel=1e-12)
-        assert rep.be_quotient == pytest.approx(unit.be_quotient, abs=1e-12)
+        assert rep.be_quotient == pytest.approx(unit.be_quotient, abs=1e-13)
         assert len(rep.m.all_local_maxima) == len(unit.m.all_local_maxima)
         best = rep.m.maximizer
         assert best.center == ORIGIN3
@@ -462,6 +463,19 @@ def _pair_draws(count, seed):
     return out
 
 
+def _distance_draws(count, seed):
+    """Seeded (d, s, c2, rho): d = 1..7 in turn, s = U(0.05, d/2 - 0.05),
+    c2 = +-U(0.2, 1.5) and rho = U(0.5, 6)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        d = 1 + k % 7
+        s = float(rng.uniform(0.05, d / 2 - 0.05))
+        c2 = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 1.5))
+        out.append((d, s, c2, float(rng.uniform(0.5, 6.0))))
+    return out
+
+
 class TestPairGeodesic:
     """For a pair, the critical points of P = c1 F(rho_1) + c2 F(rho_2) lie
     on the geodesic through the terms' points, and there each is a maximum
@@ -472,9 +486,26 @@ class TestPairGeodesic:
         assert {(u.terms[1].coeff > 0) for u in draws} == {True, False}
         for u in draws:
             for b, v in m_value(u).all_local_maxima:
-                # 1e-6: where P^2 is flat, the polish may stop a few 1e-7 short
-                assert _sinh_off_geodesic(u, b) <= 1e-6, (u, b)
+                assert _sinh_off_geodesic(u, b) <= 1e-11, (u, b)
                 _assert_local_maximum(u, b, v)
+
+    @pytest.mark.parametrize(
+        "d, s, c2, rho",
+        _distance_draws(28, seed=25)
+        + [(3, 1.0, 1.0, 3.1), (5, 1.0, 1.0, 2.06), (3, 0.5, 1.0, 2.6799999999999997)],
+    )
+    def test_concentric_and_collinear_pairs_at_one_distance_agree(self, d, s, c2, rho):
+        """A pair is conformally every other pair with its coefficients and
+        the distance rho of its terms' points: the pair of scales 1 and
+        e^-rho on one center and the pair of unit scales 2 sinh(rho/2) apart
+        give the same m, number of maxima and lp_norm.  The last three are
+        symmetric pairs whose mirror maxima lie closer than 0.7."""
+        conc = _pair(d, s, (1.0, 0.0, 1.0), (c2, 0.0, math.exp(-rho)))
+        col = _pair(d, s, (1.0, 0.0, 1.0), (c2, 2.0 * math.sinh(0.5 * rho), 1.0))
+        m_conc, m_col = m_value(conc), m_value(col)
+        assert m_col.value == pytest.approx(m_conc.value, rel=1e-14, abs=0.0)
+        assert len(m_col.all_local_maxima) == len(m_conc.all_local_maxima)
+        assert lp_norm(col) == pytest.approx(lp_norm(conc), rel=1e-14, abs=0.0)
 
     def test_non_stationary_point_is_no_maximum(self):
         """A search over a 2-D grid listed a second maximum at axial -0.5528,
@@ -498,7 +529,7 @@ class TestPairGeodesic:
         maxima = m_value(u).all_local_maxima
         assert len(maxima) == 2
         for b, v in maxima:
-            assert _sinh_off_geodesic(u, b) <= 1e-6, b
+            assert _sinh_off_geodesic(u, b) <= 1e-11, b
             _assert_local_maximum(u, b, v)
 
     def test_narrow_maximum_is_found(self):
@@ -546,10 +577,26 @@ class TestSaddles:
         maxima = m_value(u).all_local_maxima
         nearby = concentric(AMB31, (1.0, 1.0), (1.0, 0.0450492023935578))
         assert maxima[0][1] == pytest.approx(m_value(nearby).value, rel=1e-14)
-        for b, v in maxima:
-            assert math.log(b.scale) == pytest.approx(-1.3662, abs=1e-3) or (
-                math.log(b.scale) == pytest.approx(-1.7338, abs=1e-3)
-            )
+        log_scales = sorted(math.log(b.scale) for b, _ in maxima)
+        assert log_scales == pytest.approx([-1.7338, -1.3662], abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "d, s, lam, log_scales",
+        [
+            (5, 1.0, math.exp(-2.06), [-1.2935, -0.7665]),
+            (3, 0.5, 0.06856315415427794, [-1.6855, -0.9945]),
+        ],
+    )
+    def test_close_mirror_maxima_are_both_listed(self, d, s, lam, log_scales):
+        """B_1 + B_lam has two mirror maxima about z = log(lam)/2.  The scan
+        has a probe at that midpoint and mirrors its probes about it, so each
+        maximum has a scan peak of its own, however close the two lie."""
+        u = concentric(Ambient(d, s), (1.0, 1.0), (1.0, lam))
+        maxima = m_value(u).all_local_maxima
+        assert sorted(math.log(b.scale) for b, _ in maxima) == pytest.approx(
+            log_scales, abs=1e-4
+        )
+        assert maxima[0][1] == pytest.approx(maxima[1][1], rel=1e-14)
 
 
 class TestIdentities:
